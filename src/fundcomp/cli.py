@@ -33,7 +33,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict,
         "tool_version": __version__,
     }
     with open(out_dir / "manifest.json", "w", encoding="ascii", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -106,7 +106,7 @@ def cmd_analyze(args) -> int:
         spectral.spectrogram_to_pgm(clipped, out / "spectrogram.pgm")
     if "json" in exports:
         with open(out / "report.json", "w", encoding="ascii", newline="\n") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
+            json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
     _write_manifest(out, "analyze", {
         "input": str(args.input), "activation": spec.label,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import wave
 
 import numpy as np
@@ -26,15 +27,20 @@ def read_signal_csv(path) -> SampledSignal:
         rate = float(head[1])
     except ValueError:
         raise InputFormatError(f"{path}:1: bad sample rate {head[1]!r}") from None
+    if not math.isfinite(rate):
+        raise InputFormatError(f"{path}:1: bad sample rate {head[1]!r}")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            samples.append(float(line))
+            value = float(line)
         except ValueError:
             raise InputFormatError(
                 f"{path}:{lineno}: malformed sample {line!r}") from None
+        if not math.isfinite(value):
+            raise InputFormatError(f"{path}:{lineno}: non-finite sample {line!r}")
+        samples.append(value)
     if len(samples) < 2:
         raise InputFormatError(f"{path}: need at least 2 samples")
     return SampledSignal(np.array(samples), rate)
@@ -75,6 +81,8 @@ def read_wav(path) -> SampledSignal:
     data = data.reshape(-1, n_channels)[:, 0] / scale
     if data.size < 2:
         raise InputFormatError(f"{path}: need at least 2 samples")
+    if not np.all(np.isfinite(data)):
+        raise InputFormatError(f"{path}: non-finite sample")
     return SampledSignal(data, float(rate))
 
 
@@ -95,10 +103,14 @@ def read_if_curve_csv(path) -> np.ndarray:
             if not line.strip():
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise InputFormatError(
                     f"{path}:{lineno}: malformed frequency {line.strip()!r}") from None
+            if not math.isfinite(value):
+                raise InputFormatError(
+                    f"{path}:{lineno}: non-finite frequency {line.strip()!r}")
+            values.append(value)
     if not values:
         raise InputFormatError(f"{path}: empty IF curve")
     return np.array(values)
@@ -129,12 +141,20 @@ def read_poly_spec_json(path) -> TrigPolynomial:
     terms = []
     for i, item in enumerate(terms_doc):
         try:
-            terms.append((int(item["m"]),
-                          complex(float(item.get("re", 0.0)),
-                                  float(item.get("im", 0.0)))))
+            m = item["m"]
+            amp = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
         except (KeyError, TypeError, ValueError):
             raise InputFormatError(
                 f"{path}: bad term #{i}: expected {{'m', 're', 'im'}}") from None
+        # bool is an int subclass; a float frequency must be integral, never truncated
+        integral = (isinstance(m, int) and not isinstance(m, bool)) or (
+            isinstance(m, float) and m.is_integer())
+        if not integral:
+            raise InputFormatError(
+                f"{path}: term #{i}: frequency m={m!r} is not an integer")
+        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+            raise InputFormatError(f"{path}: term #{i}: non-finite amplitude")
+        terms.append((int(m), amp))
     try:
         return TrigPolynomial(tuple(terms), period=period,
                               real_cosine_form=real_form)

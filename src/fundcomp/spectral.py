@@ -157,7 +157,10 @@ def band_energy_ratio(spectrogram: Spectrogram, if_curve, half_width: float = 0.
         mask = np.abs(freqs - curve[i]) <= half_width
         if not np.any(mask):
             raise EmptyBand(
-                f"frame {i}: no frequency bin within {half_width} Hz of {curve[i]} Hz")
+                f"frame {i}: no frequency bin within {half_width} Hz of "
+                f"{curve[i]} Hz; bins are {spectrogram.freq_step:g} Hz apart, "
+                f"so a half-width of at least {spectrogram.freq_step / 2:g} Hz "
+                f"always reaches one")
         num += float(np.sum(spectrogram.matrix[i, mask]))
     return num / denom
 

@@ -343,10 +343,10 @@ def write_reports_jsonl(result: ScalingResult, fh) -> None:
             "prediction": [r.prediction.real, r.prediction.imag],
             "abs_error": r.abs_error,
             "rel_error": r.rel_error,
-        }, sort_keys=True) + "\n")
+        }, sort_keys=True, allow_nan=False) + "\n")
     fh.write(json.dumps({
         "summary": True,
         "error_slope": result.error_slope,
         "prediction_cancels": result.prediction_cancels,
         "passed": result.passed,
-    }, sort_keys=True) + "\n")
+    }, sort_keys=True, allow_nan=False) + "\n")

@@ -100,6 +100,17 @@ class TestSignalIO:
         assert poly.real_cosine_form
         assert poly.period == 1.0
 
+    def test_poly_spec_integral_float_frequency(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([{"m": 2.0, "re": 1.0}]))
+        assert fio.read_poly_spec_json(path).terms == ((2, 1 + 0j),)
+
+    def test_if_curve_non_finite_reports_line(self, tmp_path):
+        path = tmp_path / "if.csv"
+        path.write_text("1.0\ninf\n1.0\n")
+        with pytest.raises(InputFormatError, match=":2"):
+            fio.read_if_curve_csv(path)
+
     def test_poly_spec_bad_json(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text("{not json")
@@ -171,6 +182,16 @@ class TestAnalyze:
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["band_energy_ratio"] <= 1.0
 
+    def test_nan_sample_exits_input_error(self, tmp_path):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        lines = src.read_text().splitlines()
+        lines[100] = "nan"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--out", str(out)]) == 3
+        assert not (out / "report.json").exists()
+
     def test_missing_file(self, capsys):
         rc = main(["analyze", "/no/such/file.csv"])
         assert rc == 3
@@ -203,6 +224,13 @@ class TestVerifyTheorem:
         rc = main(["verify-theorem", "--signal", str(spec),
                    "--eps-ladder", "1e-2,1e-3,1e-4"])
         assert rc == 0
+
+    @pytest.mark.parametrize("m", [1.5, "2", True])
+    def test_non_integral_frequency_exits_input_error(self, tmp_path, m):
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps([{"m": m, "re": 1.0, "im": 0.0},
+                                    {"m": 2, "re": 1.0, "im": 0.0}]))
+        assert main(["verify-theorem", "--signal", str(spec)]) == 3
 
     def test_constant_modulus_fails(self, tmp_path):
         spec = tmp_path / "one.json"

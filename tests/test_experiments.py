@@ -7,8 +7,10 @@ import pytest
 from fundcomp.activations import ActivationSpec, apply
 from fundcomp.errors import ZeroSignal
 from fundcomp.experiments import (
+    BLOCK_TRIALS,
     DEFAULT_ACTIVATIONS,
     SynthConfig,
+    block_ratios,
     child_rng,
     enhancement_ratio_pair,
     frequency_weights,
@@ -16,10 +18,9 @@ from fundcomp.experiments import (
     remove_fundamental,
     remove_fundamental_sampled,
     run_trials,
-    trial_ratios,
 )
 from fundcomp.signal_model import SampledSignal, TrigPolynomial, sample
-from fundcomp.spectral import dft
+from fundcomp.spectral import dft, fundamental_energy_ratio
 
 
 class TestGenerateSynthetic:
@@ -79,7 +80,7 @@ class TestRunTrials:
         cfg = SynthConfig(trials=1, master_seed=3,
                           activations=(ActivationSpec.abs(),))
         stats = run_trials(cfg)["abs"]
-        ratio = trial_ratios(cfg, 0)[0]
+        ratio = block_ratios(cfg, [0])[0][0]
         assert stats.median == ratio
         assert stats.mad == 0.0
         assert stats.trials_run == 1
@@ -112,7 +113,7 @@ class TestRunTrials:
     def test_ratios_in_unit_interval(self):
         cfg = SynthConfig(trials=5, master_seed=1)
         for i in range(5):
-            for r in trial_ratios(cfg, i):
+            for r in block_ratios(cfg, [i])[0]:
                 assert 0.0 <= r <= 1.0
 
     def test_invalid_config(self):
@@ -120,6 +121,55 @@ class TestRunTrials:
             SynthConfig(trials=0, master_seed=1)
         with pytest.raises(ValueError):
             SynthConfig(trials=1, master_seed=1, freq_min=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sample_rate": 512.5},
+        {"sample_rate": 512.0, "freq_max": 256},
+    ])
+    def test_grid_must_hold_every_frequency(self, kwargs):
+        # the irfft placement needs an integer grid and bins below Nyquist
+        with pytest.raises(ValueError):
+            SynthConfig(trials=1, master_seed=1, **kwargs)
+
+
+class TestBlockRatios:
+    def test_matches_dense_pipeline(self):
+        # reference: generate -> evaluate on the grid -> activate -> DFT -> ratio
+        cfg = SynthConfig(trials=20, master_seed=5)
+        expected = []
+        for i in range(20):
+            signal = sample(generate_synthetic(child_rng(5, i)), 512, 1.0)
+            expected.append([
+                fundamental_energy_ratio(dft(apply(spec, signal)), 1, 256)
+                for spec in cfg.activations])
+        got = block_ratios(cfg, range(20))
+        assert got.shape == (20, len(cfg.activations))
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+
+    def test_rows_independent_of_blocking(self):
+        cfg = SynthConfig(trials=1, master_seed=9,
+                          activations=(ActivationSpec.relu(),
+                                       ActivationSpec.adaptive(0.1)))
+        indices = range(BLOCK_TRIALS + 5)
+        whole = block_ratios(cfg, indices)
+        singles = np.vstack([block_ratios(cfg, [i]) for i in indices])
+        assert np.array_equal(whole, singles)
+
+    def test_workers_and_split_over_uneven_blocks(self):
+        trials = 2 * BLOCK_TRIALS + 3
+        cfg = SynthConfig(trials=trials, master_seed=17,
+                          activations=(ActivationSpec.abs(),
+                                       ActivationSpec.adaptive(0.05)))
+        full = run_trials(cfg, workers=1)
+        assert run_trials(cfg, workers=3) == full
+        cut = BLOCK_TRIALS + 7  # not a multiple of the block size
+        first = run_trials(dataclasses.replace(cfg, trials=cut))
+        second = run_trials(dataclasses.replace(cfg, trials=trials - cut),
+                            first_trial=cut)
+        for label in full:
+            merged = tuple(a + b for a, b in zip(first[label].histogram_counts,
+                                                 second[label].histogram_counts))
+            assert merged == full[label].histogram_counts
 
 
 class TestRemoveFundamental:

@@ -202,7 +202,7 @@ class TestBandEnergyRatio:
         spg = self._tone_spectrogram(2)
         # 20.01 Hz falls between the 1/16 Hz grid points
         curve = np.full(spg.n_frames, 20.01)
-        with pytest.raises(EmptyBand):
+        with pytest.raises(EmptyBand, match=r"0\.0625 Hz apart.* 0\.03125 Hz"):
             band_energy_ratio(spg, curve, half_width=1e-6)
 
 
