@@ -60,6 +60,31 @@ def _parse_activation_list(text: str) -> tuple[ActivationSpec, ...]:
     return tuple(specs)
 
 
+def _parse_epsilon(text: str) -> float:
+    """--epsilon: h_eps needs 0 < eps < 1."""
+    try:
+        eps = float(text)
+    except ValueError:
+        eps = float("nan")
+    if not 0.0 < eps < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1)")
+    return eps
+
+
+def _parse_eps_ladder(text: str) -> list[float]:
+    """'1e-2,1e-3' -> at least 2 strictly decreasing epsilons in (0, 0.1]."""
+    try:
+        ladder = [float(e) for e in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma list of numbers") from None
+    if len(ladder) < 2 or any(not 0.0 < e <= 0.1 for e in ladder) or any(
+            b >= a for a, b in zip(ladder, ladder[1:])):
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: need at least 2 strictly decreasing values in (0, 0.1]")
+    return ladder
+
+
 def cmd_analyze(args) -> int:
     signal = io.read_signal(args.input)
     rate = signal.sample_rate
@@ -120,8 +145,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify_theorem(args) -> int:
     poly = io.read_poly_spec_json(args.signal)
-    ladder = [float(e) for e in args.eps_ladder.split(",")]
-    result = theory.scaling_verification(poly, ladder)
+    result = theory.scaling_verification(poly, args.eps_ladder)
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             theory.write_reports_jsonl(result, fh)
@@ -185,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="CSV (header 'sample_rate,<value>') or PCM WAV; "
                                  "WAV samples are scaled to [-1, 1] by full scale")
     p.add_argument("--activation", choices=["abs", "relu", "heps"], default="heps")
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_parse_epsilon, default=0.1)
     p.add_argument("--window", type=int, default=0,
                    help="STFT window length in samples (default 2 s)")
     p.add_argument("--hop", type=int, default=0,
@@ -204,7 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the peak asymptotics on an epsilon ladder")
     p.add_argument("--signal", required=True,
                    help="JSON polynomial spec: [{'m', 're', 'im'}, ...]")
-    p.add_argument("--eps-ladder", default="1e-2,1e-3,1e-4,1e-5")
+    p.add_argument("--eps-ladder", type=_parse_eps_ladder,
+                   default="1e-2,1e-3,1e-4,1e-5",
+                   help="comma list of at least 2 strictly decreasing values "
+                        "in (0, 0.1]")
     p.add_argument("--out", default=None, help="JSONL report path (default stdout)")
     p.set_defaults(func=cmd_verify_theorem)
 

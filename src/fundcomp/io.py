@@ -13,6 +13,10 @@ from .errors import InputFormatError
 from .signal_model import SampledSignal, TrigPolynomial, TWO_PI
 
 
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def read_signal_csv(path) -> SampledSignal:
     """CSV signal: first line 'sample_rate,<value>', then one sample per line."""
     with open(path, "r", encoding="ascii") as fh:
@@ -26,8 +30,8 @@ def read_signal_csv(path) -> SampledSignal:
     try:
         rate = float(head[1])
     except ValueError:
-        raise InputFormatError(f"{path}:1: bad sample rate {head[1]!r}") from None
-    if not math.isfinite(rate):
+        rate = math.nan
+    if not _finite_positive(rate):
         raise InputFormatError(f"{path}:1: bad sample rate {head[1]!r}")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -83,6 +87,8 @@ def read_wav(path) -> SampledSignal:
         raise InputFormatError(f"{path}: need at least 2 samples")
     if not np.all(np.isfinite(data)):
         raise InputFormatError(f"{path}: non-finite sample")
+    if not _finite_positive(rate):
+        raise InputFormatError(f"{path}: bad sample rate {rate}")
     return SampledSignal(data, float(rate))
 
 
@@ -131,10 +137,16 @@ def read_poly_spec_json(path) -> TrigPolynomial:
         terms_doc, period, real_form = doc, TWO_PI, False
     elif isinstance(doc, dict):
         terms_doc = doc.get("terms")
-        period = float(doc.get("period", TWO_PI))
+        period = doc.get("period", TWO_PI)
         real_form = bool(doc.get("real_cosine_form", False))
         if not isinstance(terms_doc, list):
             raise InputFormatError(f"{path}: object form needs a 'terms' array")
+        # a JSON number: bool is an int subclass, and strings are not read
+        if (isinstance(period, bool) or not isinstance(period, (int, float))
+                or not _finite_positive(period)):
+            raise InputFormatError(
+                f"{path}: period {period!r} is not a finite positive number")
+        period = float(period)
     else:
         raise InputFormatError(f"{path}: expected a JSON array or object")
 

@@ -7,6 +7,14 @@ amplitudes.  Two evaluation conventions coexist behind one type:
 * real cosine form:        f(t) = sum_k Re(a_k exp(i * 2*pi * m_k * t / period))
                                  = sum_k A_k cos(2*pi*m_k*t/period + phi_k)
   with a_k = A_k * exp(i*phi_k).
+
+Peaks of g = |f| are found from p = |f|^2, a trigonometric polynomial of
+degree at most 2*m_max whose coefficients are exact.  One inverse FFT of the
+coefficients of p' gives p' on a grid of max(4096, 64*m_max) points; its
+sign changes from + to - bracket the local maxima, which are polished all at
+once by vectorised Newton iteration on p' with a bisection fallback.  The
+sup-norm is the largest of those polished maxima, and a second inverse FFT,
+of p itself on the same grid, cross-checks that no maximum went unbracketed.
 """
 
 from __future__ import annotations
@@ -143,11 +151,6 @@ def evaluate(poly: TrigPolynomial, t):
     return vals
 
 
-def modulus(poly: TrigPolynomial, t):
-    """|f(t)| for scalar or array t."""
-    return np.abs(evaluate(poly, t))
-
-
 def sample(poly: TrigPolynomial, sample_rate: float, duration: float) -> SampledSignal:
     """Uniformly sample f; real part is stored for real-valued use downstream."""
     if duration <= 0:
@@ -201,133 +204,131 @@ class _ModulusSquared:
         self.pd = pd
         self.is_constant = bool(np.all(d == 0))
 
-    def _eval(self, t, order: int) -> np.ndarray:
-        t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        arg = np.multiply.outer(t_arr, self.d * self.omega)
-        coeff = self.pd * (1j * self.d * self.omega) ** order
-        return np.real(np.exp(1j * arg) @ coeff)
+    def _coefficients(self, order: int) -> np.ndarray:
+        return self.pd * (1j * self.d * self.omega) ** order
 
-    def value(self, t):
-        return self._eval(t, 0)
+    def at(self, t, *orders: int) -> np.ndarray:
+        """Rows p^(k)(t) for each k in `orders`, at the abscissae t."""
+        phases = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=np.float64),
+                                               self.d * self.omega))
+        coeffs = np.stack([self._coefficients(k) for k in orders])
+        # einsum, not a BLAS product: these are small products, which a
+        # threaded BLAS can run orders of magnitude slower than one loop
+        return np.einsum("kd,td->kt", coeffs, phases).real
 
-    def d1(self, t):
-        return self._eval(t, 1)
+    def on_grid(self, n: int, order: int) -> np.ndarray:
+        """p^(order) at t_k = k * period / n by one inverse FFT.
 
-    def d2(self, t):
-        return self._eval(t, 2)
-
-
-def _golden_max(fun, a: float, b: float, tol: float) -> float:
-    """Golden-section search for the maximizer of fun on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = fun(x1)
-    f2 = fun(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-    return 0.5 * (a + b)
+        Exact placement: the frequencies d span [-2 m_max, 2 m_max], so they
+        are distinct modulo any n > 4 m_max.
+        """
+        spectrum = np.zeros(n, dtype=np.complex128)
+        spectrum[self.d % n] = self._coefficients(order)
+        return np.fft.ifft(spectrum, norm="forward").real
 
 
 def _scan_grid_size(poly: TrigPolynomial) -> int:
     return max(4096, 64 * poly.max_frequency)
 
 
+def _critical_points(p: _ModulusSquared, period: float, n: int) -> np.ndarray:
+    """Roots of p' over one period that can be maxima of p, polished at once.
+
+    Sign changes of p' from + to - on the n-point grid bracket the maxima
+    (p is band-limited to 2*m_max and the grid has >= 32 points per top
+    harmonic).  Each bracket starts at its midpoint and takes Newton steps on
+    p' that stay inside the bracket, else bisects it, until a step moves less
+    than 1e-15 * period or 100 steps are spent.  A grid point where p' is
+    exactly 0 is a root as it stands.
+    """
+    h = period / n
+    ts = np.arange(n) * h
+    dp = p.on_grid(n, 1)
+    at_grid = ts[dp == 0.0]
+    i = np.flatnonzero((dp > 0.0) & (np.roll(dp, -1) < 0.0))
+    lo, hi = ts[i], ts[i] + h
+    t = 0.5 * (lo + hi)
+    active = np.arange(i.size)
+    for _ in range(100):
+        if not active.size:
+            break
+        ta, la, ha = t[active], lo[active], hi[active]
+        d1, d2 = p.at(ta, 1, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = ta - d1 / d2
+        step_ok = (d2 != 0.0) & (la <= t_new) & (t_new <= ha)
+        # bisection fallback keeps the bracket; p' < 0 past the root
+        toward_lo = ~step_ok & (d1 < 0.0)
+        toward_hi = ~step_ok & ~toward_lo
+        ha[toward_lo] = ta[toward_lo]
+        la[toward_hi] = ta[toward_hi]
+        lo[active], hi[active] = la, ha
+        t_new = np.where(step_ok, t_new, 0.5 * (la + ha))
+        moving = np.abs(t_new - ta) >= 1e-15 * period
+        t[active] = t_new
+        active = active[moving]
+    return np.concatenate([at_grid, t])
+
+
+def _local_maxima(p: _ModulusSquared, period: float,
+                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(locations in [0, period), p, p'') at the roots of p' where p'' < 0.
+
+    Their largest p is sup |f|^2.  The grid values of p cross-check it: a
+    grid point above it means a maximum went unbracketed.
+    """
+    roots = _critical_points(p, period, n) % period
+    pv, d2 = p.at(roots, 0, 2)
+    is_max = d2 < 0.0
+    roots, pv, d2 = roots[is_max], pv[is_max], d2[is_max]
+    if not roots.size or (p.on_grid(n, 0).max()
+                          > pv.max() * (1.0 + 2.0 * GLOBAL_PEAK_REL_TOL)):
+        raise ConstantModulus("no non-degenerate maxima found")
+    return roots, pv, d2
+
+
 def sup_norm(poly: TrigPolynomial) -> float:
-    """max_t |f(t)|: dense grid on p = |f|^2, then golden-section refinement."""
+    """max_t |f(t)|: the largest polished local maximum of p = |f|^2."""
     p = _ModulusSquared(poly)
-    n = _scan_grid_size(poly)
-    ts = np.arange(n) * (poly.period / n)
-    pv = p.value(ts)
-    i = int(np.argmax(pv))
-    h = poly.period / n
-    t_best = _golden_max(lambda t: float(p.value(t)[0]), ts[i] - h, ts[i] + h,
-                         tol=1e-12 * poly.period)
-    return math.sqrt(max(float(p.value(t_best)[0]), 0.0))
+    if p.is_constant:
+        return math.sqrt(max(float(p.pd[0].real), 0.0))
+    _, pv, _ = _local_maxima(p, poly.period, _scan_grid_size(poly))
+    return math.sqrt(max(float(pv.max()), 0.0))
 
 
 def find_global_maxima(poly: TrigPolynomial) -> PeakSet:
     """Locate all global maxima of g = |f| over one period.
 
     Critical points are roots of p' (p = |f|^2), bracketed on a dense grid and
-    polished by Newton iteration on p'.  At a maximum with g > 0,
-    g'' = p''/(2g) because p' vanishes there.
+    polished by Newton iteration on p'.  The global maxima are those within
+    GLOBAL_PEAK_REL_TOL of the largest, which is the sup-norm.  At a maximum
+    with g > 0, g'' = p''/(2g) because p' vanishes there.
     """
     p = _ModulusSquared(poly)
     if p.is_constant:
         raise ConstantModulus("|f| is constant; no isolated maxima exist")
 
     period = poly.period
-    n = _scan_grid_size(poly)
-    ts = np.arange(n) * (period / n)
-    dp = p.d1(ts)
-
-    # Sign changes of p' bracket its roots (grid is fine enough: p is
-    # band-limited to 2*m_max and the grid has >= 32 points per top harmonic).
-    roots = []
-    for i in range(n):
-        a, b = ts[i], ts[i] + period / n
-        fa, fb = dp[i], dp[(i + 1) % n]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb >= 0.0:
-            continue
-        t = 0.5 * (a + b)
-        lo, hi = a, b
-        for _ in range(100):
-            d1 = float(p.d1(t)[0])
-            d2 = float(p.d2(t)[0])
-            step_ok = d2 != 0.0
-            if step_ok:
-                t_new = t - d1 / d2
-                step_ok = lo <= t_new <= hi
-            if not step_ok:
-                # bisection fallback keeps the bracket
-                if d1 * fa < 0:
-                    hi = t
-                else:
-                    lo = t
-                t_new = 0.5 * (lo + hi)
-            if abs(t_new - t) < 1e-15 * period:
-                t = t_new
-                break
-            t = t_new
-        roots.append(t)
-
-    sup = sup_norm(poly)
-    candidates = []
-    for t in roots:
-        t = t % period
-        if float(p.d2(t)[0]) >= 0.0:
-            continue  # local minimum or saddle of p
-        g = math.sqrt(max(float(p.value(t)[0]), 0.0))
-        if g >= sup * (1.0 - GLOBAL_PEAK_REL_TOL):
-            candidates.append((t, g))
+    roots, pv, d2 = _local_maxima(p, period, _scan_grid_size(poly))
+    g = np.sqrt(np.maximum(pv, 0.0))
+    sup = float(g.max())
+    keep = g >= sup * (1.0 - GLOBAL_PEAK_REL_TOL)
+    candidates = sorted(zip(roots[keep].tolist(), g[keep].tolist(),
+                            d2[keep].tolist()))
 
     # deduplicate modulo the period
-    candidates.sort()
     dedupe_tol = PEAK_DEDUPE_REL_TOL * period
-    merged: list[tuple[float, float]] = []
-    for t, g in candidates:
-        if merged and t - merged[-1][0] <= dedupe_tol:
+    merged: list[tuple[float, float, float]] = []
+    for c in candidates:
+        if merged and c[0] - merged[-1][0] <= dedupe_tol:
             continue
-        merged.append((t, g))
+        merged.append(c)
     if len(merged) > 1 and (merged[0][0] + period) - merged[-1][0] <= dedupe_tol:
         merged.pop()
-    if not merged:
-        raise ConstantModulus("no non-degenerate maxima found")
 
     peaks = []
-    for t, g in merged:
-        g2 = float(p.d2(t)[0]) / (2.0 * g)
+    for t, g, p2 in merged:
+        g2 = p2 / (2.0 * g)
         if abs(g2) < DEGENERACY_CUTOFF:
             raise DegenerateMaximum(
                 f"global maximum at t={t} has |g''|={abs(g2):.3e} < {DEGENERACY_CUTOFF}"

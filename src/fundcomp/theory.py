@@ -193,17 +193,13 @@ def _peak_aware_edges(peaks: PeakSet, epsilon: float, period: float,
     return np.array(sorted(edges))
 
 
-def numeric_fundamental_integral(poly: TrigPolynomial, epsilon: float,
-                                 target_bin: int = 1) -> complex:
-    """Integral of h_eps(|f(t)|/||f||) e^{i 2 pi b t / period} over one period.
-
-    epsilon = 1 is admitted as an exactness smoke test (h_1 is identically 1).
-    """
+def _fundamental_integral(poly: TrigPolynomial, peaks: PeakSet, epsilon: float,
+                          target_bin: int) -> complex:
+    """numeric_fundamental_integral with the PeakSet of `poly` supplied."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1], 1 only as a smoke test")
     if target_bin < 1:
         raise ValueError("target_bin must be a positive integer")
-    peaks = find_global_maxima(poly)
     norm = peaks.sup_norm
     period = poly.period
     omega = TWO_PI / period
@@ -220,27 +216,39 @@ def numeric_fundamental_integral(poly: TrigPolynomial, epsilon: float,
     return adaptive_quadrature(integrand, edges, abs_tol)
 
 
+def numeric_fundamental_integral(poly: TrigPolynomial, epsilon: float,
+                                 target_bin: int = 1) -> complex:
+    """Integral of h_eps(|f(t)|/||f||) e^{i 2 pi b t / period} over one period.
+
+    epsilon = 1 is admitted as an exactness smoke test (h_1 is identically 1).
+    """
+    return _fundamental_integral(poly, find_global_maxima(poly), epsilon,
+                                 target_bin)
+
+
+def _peak_terms(peaks: PeakSet, target_bin: int) -> np.ndarray:
+    """e^{i omega b t_j} / sqrt(-g''(t_j) / (2 ||g||)) for every peak j."""
+    loc = np.array([p.location for p in peaks.peaks])
+    g2 = np.array([p.second_derivative for p in peaks.peaks])
+    if np.any(g2 >= 0):
+        raise ValueError("prediction requires strictly negative g''")
+    omega = TWO_PI / peaks.period
+    return np.exp(1j * omega * target_bin * loc) / np.sqrt(-g2 / (2.0 * peaks.sup_norm))
+
+
 def asymptotic_prediction(peaks: PeakSet, epsilon: float,
                           target_bin: int = 1) -> complex:
     """Leading-order peak-sum prediction for the target Fourier coefficient."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    omega = TWO_PI / peaks.period
-    total = 0.0 + 0.0j
-    for p in peaks.peaks:
-        if p.second_derivative >= 0:
-            raise ValueError("prediction requires strictly negative g''")
-        scale = math.sqrt(-p.second_derivative / (2.0 * peaks.sup_norm))
-        total += np.exp(1j * omega * target_bin * p.location) / scale
+    total = np.sum(_peak_terms(peaks, target_bin))
     return complex(math.pi / math.sqrt(epsilon) * total)
 
 
 def _cancellation_ratio(peaks: PeakSet) -> float:
     """|sum of peak terms| relative to the sum of their moduli."""
-    terms = [np.exp(1j * TWO_PI / peaks.period * p.location)
-             / math.sqrt(-p.second_derivative / (2.0 * peaks.sup_norm))
-             for p in peaks.peaks]
-    return float(abs(sum(terms)) / sum(abs(t) for t in terms))
+    terms = _peak_terms(peaks, 1)
+    return float(abs(np.sum(terms)) / np.sum(np.abs(terms)))
 
 
 def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
@@ -249,7 +257,8 @@ def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
     Fits the exponent of the absolute error against 1/eps by least squares;
     the remainder bound predicts an exponent of at most 1/4 whether or not
     the peak sum cancels (in the cancellation case the prediction is 0 and
-    the error is the raw integral).
+    the error is the raw integral).  The peaks are found once for the whole
+    ladder.
     """
     eps = [float(e) for e in epsilons]
     if any(not 0.0 < e <= 0.1 for e in eps):
@@ -261,7 +270,7 @@ def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
     cancels = _cancellation_ratio(peaks) < 1e-6
     reports = []
     for e in eps:
-        numeric = numeric_fundamental_integral(poly, e)
+        numeric = _fundamental_integral(poly, peaks, e, 1)
         pred = complex(0) if cancels else asymptotic_prediction(peaks, e)
         abs_err = abs(numeric - pred)
         rel_err = abs_err / abs(pred) if pred != 0 else None
@@ -274,9 +283,7 @@ def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
     slope = float(np.polyfit(log_inv_eps, log_err, 1)[0])
     residual = None
     if cancels:
-        peak_scale = math.pi * sum(
-            1.0 / math.sqrt(-p.second_derivative / (2.0 * peaks.sup_norm))
-            for p in peaks.peaks)
+        peak_scale = math.pi * float(np.sum(np.abs(_peak_terms(peaks, 1))))
         residual = max(abs(r.numeric_integral) * math.sqrt(r.epsilon)
                        for r in reports) / peak_scale
     return ScalingResult(reports=tuple(reports), error_slope=slope,
@@ -289,8 +296,9 @@ def gcd_reduction_check(poly: TrigPolynomial, epsilon: float) -> tuple[complex, 
     g = poly.frequency_gcd()
     if g <= 1:
         raise ValueError("frequency gcd must exceed 1 for the reduction check")
-    return (numeric_fundamental_integral(poly, epsilon, target_bin=1),
-            numeric_fundamental_integral(poly, epsilon, target_bin=g))
+    peaks = find_global_maxima(poly)
+    return (_fundamental_integral(poly, peaks, epsilon, 1),
+            _fundamental_integral(poly, peaks, epsilon, g))
 
 
 def sumset_support(M: FrequencySet, k: int, range_limit: int) -> set[int]:

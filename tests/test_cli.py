@@ -192,6 +192,24 @@ class TestAnalyze:
         assert main(["analyze", str(src), "--out", str(out)]) == 3
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("rate", ["0", "-64", "abc"])
+    def test_bad_csv_sample_rate_exits_input_error(self, tmp_path, rate):
+        src = tmp_path / "tone.csv"
+        src.write_text(f"sample_rate,{rate}\n1.0\n0.0\n-1.0\n0.0\n")
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_zero_wav_sample_rate_exits_input_error(self, tmp_path):
+        src = tmp_path / "tone.wav"
+        write_tone_wav(src)
+        raw = bytearray(src.read_bytes())
+        raw[24:28] = struct.pack("<I", 0)  # the fmt chunk's sample rate
+        src.write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_missing_file(self, capsys):
         rc = main(["analyze", "/no/such/file.csv"])
         assert rc == 3
@@ -231,6 +249,18 @@ class TestVerifyTheorem:
         spec.write_text(json.dumps([{"m": m, "re": 1.0, "im": 0.0},
                                     {"m": 2, "re": 1.0, "im": 0.0}]))
         assert main(["verify-theorem", "--signal", str(spec)]) == 3
+
+    @pytest.mark.parametrize("period", ["abc", "6.28", 0, -1.0, float("nan"),
+                                        float("inf"), True, None])
+    def test_bad_period_exits_input_error(self, tmp_path, period):
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps({"period": period,
+                                    "terms": [{"m": 1, "re": 1.0},
+                                              {"m": 2, "re": 1.0}]}))
+        out = tmp_path / "rep.jsonl"
+        assert main(["verify-theorem", "--signal", str(spec),
+                     "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_constant_modulus_fails(self, tmp_path):
         spec = tmp_path / "one.json"
@@ -279,3 +309,22 @@ class TestUsage:
 
     def test_bad_activation_list(self):
         assert main(["synth-bench", "--activations", "tanh"]) == 2
+
+    @pytest.mark.parametrize("ladder", ["1e-2,x", "1e-3,1e-2", "1e-2,1e-2",
+                                        "1e-2", "0.5,1e-2", "1e-2,0"])
+    def test_bad_eps_ladder(self, tmp_path, ladder):
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps([{"m": 1, "re": 1.0}, {"m": 2, "re": 1.0}]))
+        out = tmp_path / "rep.jsonl"
+        assert main(["verify-theorem", "--signal", str(spec),
+                     "--eps-ladder", ladder, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["1.5", "1", "0", "-0.1", "nan", "x"])
+    def test_bad_analyze_epsilon(self, tmp_path, eps):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--epsilon", eps,
+                     "--out", str(out)]) == 2
+        assert not out.exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fundcomp import signal_model
 from fundcomp.errors import (
     ConstantModulus,
     EmptySupport,
@@ -163,6 +164,91 @@ class TestFindGlobalMaxima:
             assert d2 < 0
             assert pk.second_derivative == pytest.approx(d2, rel=1e-4)
             assert abs(pk.value - ps.sup_norm) <= 1e-9 * ps.sup_norm
+
+
+def _exp_coefficients(poly):
+    """{signed frequency: coefficient} with f(t) = sum_m c_m exp(i m w t)."""
+    c = {}
+    for m, a in poly.terms:
+        if poly.real_cosine_form:
+            c[m] = c.get(m, 0) + a / 2
+            c[-m] = c.get(-m, 0) + np.conj(a) / 2
+        else:
+            c[m] = a
+    return c
+
+
+def _roots_oracle(poly):
+    """Global maxima of |f| as (locations, g'') from the unit-circle roots of
+    z^D p'(z), with p'(z) = sum_d i d w p_d z^d the Laurent polynomial of
+    (|f|^2)' on z = exp(i w t) and D its largest |d| (companion-matrix
+    rootfinding, np.roots)."""
+    w = TWO_PI / poly.period
+    c = _exp_coefficients(poly)
+    pd = {}
+    for m, a in c.items():
+        for k, b in c.items():
+            pd[m - k] = pd.get(m - k, 0) + a * np.conj(b)
+    big = max(abs(d) for d, v in pd.items() if v != 0)
+    laurent = np.zeros(2 * big + 1, dtype=complex)  # highest power first
+    for d, v in pd.items():
+        laurent[big - d] += 1j * d * w * v
+    z = np.roots(laurent)
+    t = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]) / w % poly.period)
+    ms = np.array(list(c))
+    amps = np.array([c[m] for m in ms])
+    g = np.abs(np.exp(1j * w * np.multiply.outer(t, ms)) @ amps)
+    t = t[g >= g.max() * (1 - 1e-9)]
+    ph = np.exp(1j * w * np.multiply.outer(t, ms))
+    f, f1, f2 = ph @ amps, ph @ (1j * w * ms * amps), ph @ (-(w * ms) ** 2 * amps)
+    # g'' = p''/(2g) where p' = 0, with p'' = 2 Re(f'' conj f) + 2|f'|^2
+    return t, (np.real(f2 * np.conj(f)) + np.abs(f1) ** 2) / np.abs(f)
+
+
+class TestRootsOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_companion_matrix_roots(self, seed):
+        rng = np.random.default_rng(seed)
+        scale = (1, 1, 2, 3)[seed % 4]  # gcd 2 or 3 gives 2 or 3 global maxima
+        m_max = 12 // scale
+        k = int(rng.integers(2, min(5, m_max) + 1))
+        freqs = scale * rng.choice(np.arange(1, m_max + 1), k, replace=False)
+        poly = TrigPolynomial(
+            tuple((int(m), complex(*rng.normal(size=2))) for m in freqs),
+            period=TWO_PI if seed % 3 else 1.0, real_cosine_form=bool(seed % 2))
+        locs, g2 = _roots_oracle(poly)
+        ps = find_global_maxima(poly)
+        got = sorted(ps.peaks, key=lambda pk: pk.location)
+        assert len(got) == len(locs)
+        for pk, t, d2 in zip(got, locs, g2):
+            assert pk.location == pytest.approx(t, abs=1e-9)
+            assert pk.second_derivative == pytest.approx(d2, rel=1e-7)
+
+    def test_unbracketed_maximum_is_caught(self, monkeypatch):
+        # drop the polished root at the global maximum: the grid values of
+        # |f|^2 then exceed every remaining maximum
+        poly = TrigPolynomial(((1, 1 + 0j), (2, 0.5 + 0.3j), (5, 0.4j)))
+        top = find_global_maxima(poly).peaks[0].location
+        polish = signal_model._critical_points
+
+        def missing_top(*args):
+            roots = polish(*args)
+            return roots[np.abs(roots % poly.period - top) > 1e-6]
+
+        monkeypatch.setattr(signal_model, "_critical_points", missing_top)
+        with pytest.raises(ConstantModulus, match="no non-degenerate maxima"):
+            find_global_maxima(poly)
+        with pytest.raises(ConstantModulus, match="no non-degenerate maxima"):
+            sup_norm(poly)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sup_norm_is_the_peak_value(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        freqs = rng.choice(np.arange(1, 60), 6, replace=False)
+        poly = TrigPolynomial(tuple((int(m), complex(*rng.normal(size=2)))
+                                    for m in freqs),
+                              real_cosine_form=bool(seed % 2))
+        assert sup_norm(poly) == find_global_maxima(poly).sup_norm
 
 
 class TestSupportGcd:

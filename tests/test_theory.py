@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fundcomp import theory
 from fundcomp.errors import ConstantModulus
 from fundcomp.signal_model import TrigPolynomial, find_global_maxima
 from fundcomp.theory import (
@@ -135,6 +136,19 @@ class TestScalingVerification:
             scaling_verification(TWO_EXP, [1e-3, 1e-2])
         with pytest.raises(ValueError):
             scaling_verification(TWO_EXP, [0.5, 0.1])
+
+    def test_peaks_found_once_per_input(self, monkeypatch):
+        calls = []
+
+        def counting(poly):
+            calls.append(poly)
+            return find_global_maxima(poly)
+
+        monkeypatch.setattr(theory, "find_global_maxima", counting)
+        scaling_verification(TWO_EXP, [1e-2, 1e-3, 1e-4, 1e-5])
+        assert len(calls) == 1
+        gcd_reduction_check(TrigPolynomial(((2, 1 + 0j), (4, 1 + 0j))), 1e-3)
+        assert len(calls) == 2
 
     def test_rotation_covariance(self):
         # f(t - tau): bin-1 integral and prediction both pick up e^{i tau}
