@@ -23,6 +23,8 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
+EXPORTS = ("csv", "pgm", "json")
+
 
 def _write_manifest(out_dir: Path, subcommand: str, config: dict,
                     input_digest: str | None) -> None:
@@ -71,6 +73,32 @@ def _parse_epsilon(text: str) -> float:
     return eps
 
 
+def _parse_positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _parse_freqs(text: str) -> theory.FrequencySet:
+    """'6,9,33' -> frequency set of positive integers."""
+    return theory.FrequencySet(tuple(
+        _parse_positive_int(f) for f in text.split(",")))
+
+
+def _parse_export(text: str) -> set[str]:
+    """'csv,json' -> names from {csv, pgm, json}."""
+    names = set(text.split(","))
+    unknown = names - set(EXPORTS)
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown export {sorted(unknown)[0]!r} (use {','.join(EXPORTS)})")
+    return names
+
+
 def _parse_eps_ladder(text: str) -> list[float]:
     """'1e-2,1e-3' -> at least 2 strictly decreasing epsilons in (0, 0.1]."""
     try:
@@ -88,16 +116,14 @@ def _parse_eps_ladder(text: str) -> list[float]:
 def cmd_analyze(args) -> int:
     signal = io.read_signal(args.input)
     rate = signal.sample_rate
-    window = args.window if args.window else max(4, int(round(2 * rate)))
-    hop = args.hop if args.hop else max(1, int(round(rate / 10)))
-    fft_length = args.fft_length if args.fft_length else max(
-        window, 1 << (window - 1).bit_length())
+    window = args.window or max(4, int(round(2 * rate)))
+    hop = args.hop or max(1, int(round(rate / 10)))
+    fft_length = args.fft_length or max(window, 1 << (window - 1).bit_length())
     spec = _parse_activation(args.activation, args.epsilon)
 
     activated = activations.apply(spec, signal)
     spectrum = spectral.dft(activated)
     spg = spectral.stft(activated, window, hop, fft_length)
-    clipped = spectral.dynamic_range_clip(spg)
     max_bin = min(256, len(spectrum.bins) - 1)
     ratio = spectral.fundamental_energy_ratio(spectrum, 1, max_bin)
 
@@ -119,16 +145,18 @@ def cmd_analyze(args) -> int:
         report["band_energy_ratio"] = spectral.band_energy_ratio(
             spg, curve, half_width=args.half_width,
             band_floor=1.0 / duration, band_ceiling=rate / 2.0)
+    # rebound, so the unclipped matrix is freed before export
+    spg = spectral.dynamic_range_clip(spg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    exports = set(args.export.split(","))
+    exports = args.export
     if "csv" in exports:
         io.write_signal_csv(activated, out / "activated_signal.csv")
         spectral.spectrum_to_csv(spectrum, out / "spectrum.csv")
-        spectral.spectrogram_to_csv(clipped, out / "spectrogram.csv")
+        spectral.spectrogram_to_csv(spg, out / "spectrogram.csv")
     if "pgm" in exports:
-        spectral.spectrogram_to_pgm(clipped, out / "spectrogram.pgm")
+        spectral.spectrogram_to_pgm(spg, out / "spectrogram.pgm")
     if "json" in exports:
         with open(out / "report.json", "w", encoding="ascii", newline="\n") as fh:
             json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
@@ -163,9 +191,6 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_synth_bench(args) -> int:
-    if args.trials < 1:
-        print("fundcomp synth-bench: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     config = experiments.SynthConfig(
         trials=args.trials, master_seed=args.seed,
         activations=args.activations)
@@ -185,7 +210,7 @@ def cmd_synth_bench(args) -> int:
 
 
 def cmd_sumset(args) -> int:
-    freqs = theory.FrequencySet(tuple(int(f) for f in args.freqs.split(",")))
+    freqs = args.freqs
     range_limit = args.range if args.range else 10 * freqs.max_element
     gcd, stab = theory.sumset_gcd_limit(freqs, args.kmax, range_limit)
     print(f"frequencies      {','.join(map(str, freqs.elements))}")
@@ -210,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "WAV samples are scaled to [-1, 1] by full scale")
     p.add_argument("--activation", choices=["abs", "relu", "heps"], default="heps")
     p.add_argument("--epsilon", type=_parse_epsilon, default=0.1)
-    p.add_argument("--window", type=int, default=0,
+    p.add_argument("--window", type=_parse_positive_int, default=None,
                    help="STFT window length in samples (default 2 s)")
-    p.add_argument("--hop", type=int, default=0,
+    p.add_argument("--hop", type=_parse_positive_int, default=None,
                    help="STFT hop in samples (default 0.1 s)")
-    p.add_argument("--fft-length", type=int, default=0,
+    p.add_argument("--fft-length", type=_parse_positive_int, default=None,
                    help="FFT length (default: window rounded up to a power of 2)")
-    p.add_argument("--export", default="csv,pgm,json",
+    p.add_argument("--export", type=_parse_export, default="csv,pgm,json",
                    help="comma list from {csv,pgm,json}")
     p.add_argument("--if-curve", default=None,
                    help="CSV with one instantaneous frequency (Hz) per frame")
@@ -236,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("synth-bench", help="run the synthetic benchmark")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=_parse_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--activations", type=_parse_activation_list,
                    default=experiments.DEFAULT_ACTIVATIONS,
@@ -247,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth_bench)
 
     p = sub.add_parser("sumset", help="sumset support and gcd stabilization")
-    p.add_argument("--freqs", required=True, help="comma list, e.g. 6,9,33")
-    p.add_argument("--kmax", type=int, default=50)
+    p.add_argument("--freqs", type=_parse_freqs, required=True,
+                   help="comma list of positive integers, e.g. 6,9,33")
+    p.add_argument("--kmax", type=_parse_positive_int, default=50)
     p.add_argument("--range", type=int, default=0,
                    help="support range limit (default 10 * max frequency)")
     p.set_defaults(func=cmd_sumset)

@@ -12,6 +12,9 @@ import numpy as np
 from .errors import InputFormatError
 from .signal_model import SampledSignal, TrigPolynomial, TWO_PI
 
+# write_signal_csv formats this many samples per .tolist()
+_CSV_CHUNK_ROWS = 4096
+
 
 def _finite_positive(x: float) -> bool:
     return math.isfinite(x) and x > 0
@@ -51,10 +54,13 @@ def read_signal_csv(path) -> SampledSignal:
 
 
 def write_signal_csv(signal: SampledSignal, path) -> None:
+    """The read_signal_csv format, samples printed with 17 significant digits."""
+    x = signal.samples
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"sample_rate,{signal.sample_rate:.17g}\n")
-        for v in signal.samples:
-            fh.write(f"{v:.17g}\n")
+        for start in range(0, x.size, _CSV_CHUNK_ROWS):
+            chunk = x[start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.write("%.17g\n" * len(chunk) % tuple(chunk))
 
 
 def read_wav(path) -> SampledSignal:

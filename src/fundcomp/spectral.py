@@ -14,6 +14,25 @@ import numpy as np
 from .errors import EmptyBand, SignalTooShort, ZeroDenominator
 from .signal_model import SampledSignal
 
+# stft transforms this many frames at a time, so its transients stay a few MB
+# beside the one |V|^2 matrix it returns
+_STFT_BLOCK_FRAMES = 16
+
+# spectrum_to_csv formats this many rows per .tolist()
+_CSV_CHUNK_ROWS = 4096
+
+
+def _frozen(arr, dtype) -> np.ndarray:
+    """arr itself if it is an owning, read-only, C-ordered array of dtype, as
+    dft, stft and dynamic_range_clip build them; otherwise a read-only copy."""
+    if (isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and arr.flags.owndata and not arr.flags.writeable
+            and arr.flags.c_contiguous):
+        return arr
+    out = np.array(arr, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -21,9 +40,7 @@ class Spectrum:
     bin_width: float
 
     def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.complex128).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "bins", arr)
+        object.__setattr__(self, "bins", _frozen(self.bins, np.complex128))
         if self.bin_width <= 0:
             raise ValueError("bin_width must be positive")
 
@@ -39,12 +56,11 @@ class Spectrogram:
     window_descriptor: str
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=np.float64).copy()
+        arr = _frozen(self.matrix, np.float64)
         if arr.ndim != 2:
             raise ValueError("spectrogram matrix must be 2-D")
         if np.any(arr < 0):
             raise ValueError("spectrogram entries must be nonnegative")
-        arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -62,9 +78,11 @@ class Spectrogram:
 def dft(signal: SampledSignal) -> Spectrum:
     x = signal.samples
     n = x.size
-    raw = np.fft.rfft(x)
-    bins = raw * (2.0 / n)
-    bins[0] = raw[0] / n
+    bins = np.fft.rfft(x)
+    dc = bins[0] / n
+    bins *= 2.0 / n
+    bins[0] = dc
+    bins.flags.writeable = False
     return Spectrum(bins=bins, bin_width=signal.sample_rate / n)
 
 
@@ -91,7 +109,11 @@ def gaussian_window(length: int) -> np.ndarray:
 
 def stft(signal: SampledSignal, window_length: int, hop: int,
          fft_length: int) -> Spectrogram:
-    """Magnitude-squared STFT on a centered frame grid with edge zero-padding."""
+    """Magnitude-squared STFT on a centered frame grid with edge zero-padding.
+
+    Frames are strided views of the padded signal, transformed
+    `_STFT_BLOCK_FRAMES` at a time into the one returned matrix.
+    """
     if window_length > fft_length:
         raise ValueError("window_length must not exceed fft_length")
     if hop < 1:
@@ -104,11 +126,18 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
     half = window_length // 2
     padded = np.concatenate([np.zeros(half), x, np.zeros(window_length)])
     n_frames = (x.size - 1) // hop + 1
-    frames = np.stack([padded[i * hop:i * hop + window_length]
-                       for i in range(n_frames)])
-    spec = np.fft.rfft(frames * window, n=fft_length, axis=1)
+    frames = np.lib.stride_tricks.sliding_window_view(
+        padded, window_length)[::hop][:n_frames]
+    matrix = np.empty((n_frames, fft_length // 2 + 1))
+    for start in range(0, n_frames, _STFT_BLOCK_FRAMES):
+        stop = start + _STFT_BLOCK_FRAMES
+        spec = np.fft.rfft(frames[start:stop] * window, n=fft_length, axis=1)
+        blk = matrix[start:stop]
+        np.abs(spec, out=blk)
+        np.square(blk, out=blk)  # bitwise np.abs(spec) ** 2
+    matrix.flags.writeable = False
     return Spectrogram(
-        matrix=np.abs(spec) ** 2,
+        matrix=matrix,
         time_step=hop / signal.sample_rate,
         freq_step=signal.sample_rate / fft_length,
         window_descriptor=f"gaussian(length={window_length},sigma={window_length / 8:g})",
@@ -120,11 +149,12 @@ def dynamic_range_clip(spectrogram: Spectrogram, lo_pct: float = 0.0,
     """Clip entries to the [lo_pct, hi_pct] percentiles (linear interpolation)."""
     if not 0.0 <= lo_pct < hi_pct <= 100.0:
         raise ValueError("need 0 <= lo_pct < hi_pct <= 100")
-    flat = spectrogram.matrix.ravel()
-    lo = np.percentile(flat, lo_pct, method="linear")
-    hi = np.percentile(flat, hi_pct, method="linear")
+    lo, hi = np.percentile(spectrogram.matrix.ravel(), [lo_pct, hi_pct],
+                           method="linear")
+    clipped = np.clip(spectrogram.matrix, lo, hi)
+    clipped.flags.writeable = False
     return Spectrogram(
-        matrix=np.clip(spectrogram.matrix, lo, hi),
+        matrix=clipped,
         time_step=spectrogram.time_step,
         freq_step=spectrogram.freq_step,
         window_descriptor=spectrogram.window_descriptor,
@@ -167,10 +197,10 @@ def band_energy_ratio(spectrogram: Spectrogram, if_curve, half_width: float = 0.
 
 def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
     """One CSV row per frame, entries printed with 17 significant digits."""
+    template = ",".join(["%.17g"] * spectrogram.n_bins) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for row in spectrogram.matrix:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+            fh.write(template % tuple(row.tolist()))
 
 
 def spectrogram_to_pgm(spectrogram: Spectrogram, path) -> None:
@@ -181,11 +211,14 @@ def spectrogram_to_pgm(spectrogram: Spectrogram, path) -> None:
     m = spectrogram.matrix
     lo = float(np.min(m))
     hi = float(np.max(m))
+    data = np.zeros(m.shape, dtype=np.uint8)
     if hi > lo:
-        scaled = np.round((m - lo) / (hi - lo) * 255.0)
-    else:
-        scaled = np.zeros_like(m)
-    data = scaled.astype(np.uint8)
+        for start in range(0, m.shape[0], _STFT_BLOCK_FRAMES):
+            rows = slice(start, start + _STFT_BLOCK_FRAMES)
+            scaled = m[rows] - lo
+            scaled /= hi - lo
+            scaled *= 255.0
+            data[rows] = np.round(scaled, out=scaled)
     header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -193,9 +226,19 @@ def spectrogram_to_pgm(spectrogram: Spectrogram, path) -> None:
 
 
 def spectrum_to_csv(spectrum: Spectrum, path) -> None:
-    """Rows bin,frequency_hz,real,imag,magnitude with 17 significant digits."""
+    """Rows bin,frequency_hz,real,imag,magnitude with 17 significant digits.
+
+    The magnitude is np.hypot, which equals abs() of a Python complex bit for
+    bit; np.abs of a complex array can differ in the last bit.
+    """
+    row = "%d,%.17g,%.17g,%.17g,%.17g\n"
+    bins = spectrum.bins
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("bin,frequency_hz,real,imag,magnitude\n")
-        for k, c in enumerate(spectrum.bins):
-            fh.write(f"{k},{k * spectrum.bin_width:.17g},"
-                     f"{c.real:.17g},{c.imag:.17g},{abs(c):.17g}\n")
+        for start in range(0, bins.size, _CSV_CHUNK_ROWS):
+            c = bins[start:start + _CSV_CHUNK_ROWS]
+            k = np.arange(start, start + c.size)
+            # one float table; %d prints the bin index, an exact integral float
+            table = np.column_stack([k, k * spectrum.bin_width, c.real, c.imag,
+                                     np.hypot(c.real, c.imag)])
+            fh.write(row * c.size % tuple(table.ravel().tolist()))

@@ -84,6 +84,15 @@ class TestSignalIO:
         sig = fio.read_wav(path)
         assert np.allclose(sig.samples * 2 ** 15, left)
 
+    def test_csv_write_matches_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(2 * 4096 + 3) * 10.0 ** rng.integers(-300, 300)
+        x[:4] = [0.0, -0.0, 5e-324, 1.0 / 3.0]
+        path = tmp_path / "sig.csv"
+        fio.write_signal_csv(SampledSignal(x, 44100.0), path)
+        expected = "sample_rate,44100\n" + "".join(f"{v:.17g}\n" for v in x)
+        assert path.read_bytes() == expected.encode("ascii")
+
     def test_poly_spec_complex_form(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps([{"m": 1, "re": 1.0, "im": 0.0},
@@ -328,3 +337,30 @@ class TestUsage:
         assert main(["analyze", str(src), "--epsilon", eps,
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("export", ["xyz", "", "csv,", "csv,jsno"])
+    def test_bad_export(self, tmp_path, export):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--export", export,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,value", [
+        ("--hop", "-3"), ("--hop", "0"), ("--window", "-128"),
+        ("--window", "1.5"), ("--fft-length", "-512"), ("--fft-length", "x")])
+    def test_bad_analyze_integer(self, tmp_path, option, value):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), option, value,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--freqs", "0,3"], ["--freqs", "2,-3"], ["--freqs", "2,x"],
+        ["--freqs", "2,3", "--kmax", "-1"], ["--freqs", "2,3", "--kmax", "0"]])
+    def test_bad_sumset_option(self, capsys, argv):
+        assert main(["sumset", *argv]) == 2
+        assert "gcd" not in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,18 @@ from fundcomp.activations import ActivationSpec, apply
 from fundcomp.errors import EmptyBand, SignalTooShort, ZeroDenominator
 from fundcomp.signal_model import SampledSignal, TrigPolynomial, sample
 from fundcomp.spectral import (
+    _CSV_CHUNK_ROWS,
+    _STFT_BLOCK_FRAMES,
     Spectrogram,
+    Spectrum,
     band_energy_ratio,
     dft,
     dynamic_range_clip,
     fundamental_energy_ratio,
+    gaussian_window,
     spectrogram_to_csv,
     spectrogram_to_pgm,
+    spectrum_to_csv,
     stft,
 )
 
@@ -31,6 +38,23 @@ def direct_dft(signal):
     bins = raw * 2.0 / n
     bins[0] = raw[0] / n
     return bins
+
+
+def stacked_stft_matrix(x, window_length, hop, fft_length):
+    """The STFT as one stacked copy of every frame: the blocked stft's oracle."""
+    half = window_length // 2
+    padded = np.concatenate([np.zeros(half), x, np.zeros(window_length)])
+    n_frames = (x.size - 1) // hop + 1
+    frames = np.stack([padded[i * hop:i * hop + window_length]
+                       for i in range(n_frames)])
+    spec = np.fft.rfft(frames * gaussian_window(window_length), n=fft_length,
+                       axis=1)
+    return np.abs(spec) ** 2
+
+
+def wide_range_values(rng, size):
+    """Random signed floats with decimal exponents from -300 to 300."""
+    return rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
 
 
 class TestDft:
@@ -150,6 +174,59 @@ class TestStft:
         assert np.max(np.abs(a - b)) < 1e-6 * max(np.max(a), 1.0)
 
 
+    @pytest.mark.parametrize("hop", [2, 7, 64])
+    def test_blocks_match_stacked_oracle(self, hop):
+        # a frame count that is not a multiple of the block size
+        n_frames = 3 * _STFT_BLOCK_FRAMES + 5
+        x = np.random.default_rng(hop).standard_normal((n_frames - 1) * hop + 1)
+        spg = stft(SampledSignal(x, 100.0), 96, hop, 128)
+        assert spg.n_frames == n_frames
+        expected = stacked_stft_matrix(x, 96, hop, 128)
+        assert spg.matrix.tobytes() == expected.tobytes()
+
+    def test_peak_allocation_is_about_one_matrix(self):
+        # 60 s at 4 kHz with the CLI defaults: window 2 s, hop 0.1 s, FFT 8192
+        x = np.random.default_rng(0).standard_normal(240_000)
+        signal = SampledSignal(x, 4000.0)
+        tracemalloc.start()
+        try:
+            spg = stft(signal, 8000, 400, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spg.matrix.shape == (600, 4097)
+        assert peak <= 1.5 * spg.matrix.nbytes
+
+
+class TestOwnership:
+    def test_writeable_matrix_is_copied(self):
+        m = np.arange(6.0).reshape(2, 3)
+        spg = Spectrogram(m, 1.0, 1.0, "t")
+        m[0, 0] = 99.0
+        assert spg.matrix[0, 0] == 0.0
+        assert not spg.matrix.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        m = np.arange(6.0).reshape(2, 3)
+        view = m[:]
+        view.flags.writeable = False
+        spg = Spectrogram(view, 1.0, 1.0, "t")
+        m[0, 0] = 99.0
+        assert spg.matrix[0, 0] == 0.0
+
+    def test_writeable_bins_are_copied(self):
+        bins = np.array([1.0 + 0j, 2.0 - 1j])
+        spec = Spectrum(bins, 1.0)
+        bins[0] = 5.0
+        assert spec.bins[0] == 1.0
+        assert not spec.bins.flags.writeable
+
+    def test_owned_read_only_array_is_taken(self):
+        m = np.zeros((2, 3))
+        m.flags.writeable = False
+        assert Spectrogram(m, 1.0, 1.0, "t").matrix is m
+
+
 class TestDynamicRangeClip:
     def test_median_cap(self):
         m = np.arange(10000, dtype=float).reshape(100, 100)
@@ -175,6 +252,14 @@ class TestDynamicRangeClip:
         out = dynamic_range_clip(spg, 5.0, 95.0)
         lo, hi = np.percentile(m, [5.0, 95.0])
         assert np.array_equal(out.matrix, np.clip(m, lo, hi))
+
+
+    def test_default_percentiles_match_separate_calls(self):
+        m = np.random.default_rng(3).random((50, 70)) ** 8
+        out = dynamic_range_clip(Spectrogram(m, 1.0, 1.0, "test"))
+        lo = np.percentile(m.ravel(), 0.0, method="linear")
+        hi = np.percentile(m.ravel(), 99.95, method="linear")
+        assert out.matrix.tobytes() == np.clip(m, lo, hi).tobytes()
 
 
 class TestBandEnergyRatio:
@@ -222,3 +307,38 @@ class TestExports:
         assert data.startswith(b"P5\n2 2\n255\n")
         pixels = data[len(b"P5\n2 2\n255\n"):]
         assert list(pixels) == [0, 64, 128, 255]
+
+    def test_pgm_rows_match_whole_matrix_scaling(self, tmp_path):
+        m = np.random.default_rng(4).random((2 * _STFT_BLOCK_FRAMES + 3, 9))
+        path = tmp_path / "s.pgm"
+        spectrogram_to_pgm(Spectrogram(m, 1.0, 1.0, "t"), path)
+        lo, hi = m.min(), m.max()
+        expected = np.round((m - lo) / (hi - lo) * 255.0).astype(np.uint8)
+        assert path.read_bytes() == b"P5\n9 %d\n255\n" % m.shape[0] + \
+            expected.tobytes()
+
+    def test_csv_matches_per_value_formatting(self, tmp_path):
+        m = np.abs(wide_range_values(np.random.default_rng(5), (7, 13)))
+        m[0, :3] = [0.0, 5e-324, 1.0 / 3.0]
+        path = tmp_path / "s.csv"
+        spectrogram_to_csv(Spectrogram(m, 1.0, 1.0, "t"), path)
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                           for row in m)
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_spectrum_csv_matches_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(6)
+        n = _CSV_CHUNK_ROWS + 5
+        bins = wide_range_values(rng, n) + 1j * wide_range_values(rng, n)
+        bins[:1000] = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+        # the case a vectorised np.abs gets wrong in the last bit
+        python_abs = np.array([abs(complex(c)) for c in bins])
+        assert np.any(np.abs(bins) != python_abs)
+        spec = Spectrum(bins, 0.1)
+        path = tmp_path / "spectrum.csv"
+        spectrum_to_csv(spec, path)
+        expected = "bin,frequency_hz,real,imag,magnitude\n" + "".join(
+            f"{k},{k * spec.bin_width:.17g},"
+            f"{c.real:.17g},{c.imag:.17g},{abs(c):.17g}\n"
+            for k, c in enumerate(spec.bins))
+        assert path.read_bytes() == expected.encode("ascii")
