@@ -53,6 +53,18 @@ class ActivationSpec:
         return self.kind
 
 
+def _h_eps_kernel(ax, epsilon):
+    """1 / ((1 - |x|) + eps |x|) for ax = |x| in [0, 1]; no domain checks.
+
+    The denominator is exactly eps at |x| = 1, so h never exceeds 1/eps, where
+    1 - (1 - eps)|x| cancels. |x| is taken back as 1 - u from u = 1 - |x|
+    (exact for |x| >= 1/2), so the denominator depends on |x| through u alone
+    and h is nondecreasing in |x| also in floating point.
+    """
+    u = 1.0 - ax
+    return 1.0 / (u + epsilon * (1.0 - u))
+
+
 def h_eps(x, epsilon: float):
     """Adaptive reciprocal activation 1 / (1 - (1 - eps)|x|) on [-1, 1]."""
     if not 0.0 < epsilon < 1.0:
@@ -61,8 +73,7 @@ def h_eps(x, epsilon: float):
     if np.any(ax > 1.0 + OVERSHOOT_TOL):
         worst = float(np.max(ax))
         raise DomainError(f"|x| = {worst} exceeds 1 beyond tolerance")
-    ax = np.minimum(ax, 1.0)
-    out = 1.0 / (1.0 - (1.0 - epsilon) * ax)
+    out = _h_eps_kernel(np.minimum(ax, 1.0), epsilon)
     return float(out) if np.ndim(x) == 0 else out
 
 

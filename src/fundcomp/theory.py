@@ -23,6 +23,7 @@ from functools import reduce
 
 import numpy as np
 
+from .activations import _h_eps_kernel
 from .errors import QuadratureNonConvergence
 from .signal_model import (
     PeakSet,
@@ -206,8 +207,7 @@ def _fundamental_integral(poly: TrigPolynomial, peaks: PeakSet, epsilon: float,
 
     def integrand(t):
         mod = np.minimum(np.abs(evaluate(poly, t)) / norm, 1.0)
-        h = 1.0 / (1.0 - (1.0 - epsilon) * mod)
-        return h * np.exp(1j * omega * target_bin * t)
+        return _h_eps_kernel(mod, epsilon) * np.exp(1j * omega * target_bin * t)
 
     base = _peak_aware_edges(peaks, epsilon, period,
                              poly_max_frequency_hint=poly.max_frequency)

@@ -80,6 +80,27 @@ class TestHeps:
         assert abs(limit - partial) <= ax ** (terms + 1) / (1.0 - ax) + 1e-12
 
 
+class TestHepsNearOne:
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 0.3])
+    def test_at_one_within_bound(self, eps):
+        assert h_eps(1.0, eps) <= 1.0 / eps
+        assert h_eps(-1.0, eps) <= 1.0 / eps
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 0.1, 0.3, 0.9])
+    def test_sweep_below_one_within_bound(self, eps):
+        x = np.linspace(1.0 - 1e-9, 1.0, 20001)
+        h = h_eps(x, eps)
+        assert np.all(h <= 1.0 / eps)
+        assert np.all(h >= 1.0)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.1, 0.5, 0.9])
+    def test_monotone_between_neighbouring_floats(self, eps):
+        # 1 / (fl(1 - |x|) + fl(eps |x|)) steps down by an ulp between some
+        # neighbouring |x| below 1/2, where 1 - |x| is rounded
+        x = np.random.default_rng(11).random(100_000)
+        assert np.all(h_eps(np.nextafter(x, 2.0), eps) >= h_eps(x, eps))
+
+
 class TestApply:
     def test_abs(self):
         out = apply(ActivationSpec.abs(), sig([1, -2, 3]))
