@@ -12,8 +12,8 @@ import numpy as np
 from .errors import InputFormatError
 from .signal_model import SampledSignal, TrigPolynomial, TWO_PI
 
-# write_signal_csv formats this many samples per .tolist()
-_CSV_CHUNK_ROWS = 4096
+# _write_rows formats about this many values per .tolist()
+_CSV_CHUNK_VALUES = 16384
 
 
 def _finite_positive(x: float) -> bool:
@@ -53,14 +53,23 @@ def read_signal_csv(path) -> SampledSignal:
     return SampledSignal(np.array(samples), rate)
 
 
+def _write_rows(fh, row_template: str, table: np.ndarray) -> None:
+    """Write `row_template % row` for each row of a 2-D float table.
+
+    One %-template per row over .tolist(), chunk by chunk, so that no list
+    of Python floats holds the whole table.
+    """
+    rows = max(1, _CSV_CHUNK_VALUES // max(1, table.shape[1]))
+    for start in range(0, table.shape[0], rows):
+        chunk = table[start:start + rows]
+        fh.write(row_template * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
 def write_signal_csv(signal: SampledSignal, path) -> None:
     """The read_signal_csv format, samples printed with 17 significant digits."""
-    x = signal.samples
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"sample_rate,{signal.sample_rate:.17g}\n")
-        for start in range(0, x.size, _CSV_CHUNK_ROWS):
-            chunk = x[start:start + _CSV_CHUNK_ROWS].tolist()
-            fh.write("%.17g\n" * len(chunk) % tuple(chunk))
+        _write_rows(fh, "%.17g\n", signal.samples[:, None])
 
 
 def read_wav(path) -> SampledSignal:

@@ -12,14 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBand, SignalTooShort, ZeroDenominator
+from .io import _write_rows
 from .signal_model import SampledSignal
 
-# stft transforms this many frames at a time, so its transients stay a few MB
-# beside the one |V|^2 matrix it returns
-_STFT_BLOCK_FRAMES = 16
-
-# spectrum_to_csv formats this many rows per .tolist()
-_CSV_CHUNK_ROWS = 4096
+# stft transforms, and spectrogram_to_pgm scales, this many frames at a time,
+# so their transients stay a few MB beside the one |V|^2 matrix
+_BLOCK_FRAMES = 16
 
 
 def _frozen(arr, dtype) -> np.ndarray:
@@ -112,7 +110,7 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
     """Magnitude-squared STFT on a centered frame grid with edge zero-padding.
 
     Frames are strided views of the padded signal, transformed
-    `_STFT_BLOCK_FRAMES` at a time into the one returned matrix.
+    `_BLOCK_FRAMES` at a time into the one returned matrix.
     """
     if window_length > fft_length:
         raise ValueError("window_length must not exceed fft_length")
@@ -129,8 +127,8 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
     frames = np.lib.stride_tricks.sliding_window_view(
         padded, window_length)[::hop][:n_frames]
     matrix = np.empty((n_frames, fft_length // 2 + 1))
-    for start in range(0, n_frames, _STFT_BLOCK_FRAMES):
-        stop = start + _STFT_BLOCK_FRAMES
+    for start in range(0, n_frames, _BLOCK_FRAMES):
+        stop = start + _BLOCK_FRAMES
         spec = np.fft.rfft(frames[start:stop] * window, n=fft_length, axis=1)
         blk = matrix[start:stop]
         np.abs(spec, out=blk)
@@ -197,10 +195,9 @@ def band_energy_ratio(spectrogram: Spectrogram, if_curve, half_width: float = 0.
 
 def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
     """One CSV row per frame, entries printed with 17 significant digits."""
-    template = ",".join(["%.17g"] * spectrogram.n_bins) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in spectrogram.matrix:
-            fh.write(template % tuple(row.tolist()))
+        _write_rows(fh, ",".join(["%.17g"] * spectrogram.n_bins) + "\n",
+                    spectrogram.matrix)
 
 
 def spectrogram_to_pgm(spectrogram: Spectrogram, path) -> None:
@@ -213,8 +210,8 @@ def spectrogram_to_pgm(spectrogram: Spectrogram, path) -> None:
     hi = float(np.max(m))
     data = np.zeros(m.shape, dtype=np.uint8)
     if hi > lo:
-        for start in range(0, m.shape[0], _STFT_BLOCK_FRAMES):
-            rows = slice(start, start + _STFT_BLOCK_FRAMES)
+        for start in range(0, m.shape[0], _BLOCK_FRAMES):
+            rows = slice(start, start + _BLOCK_FRAMES)
             scaled = m[rows] - lo
             scaled /= hi - lo
             scaled *= 255.0
@@ -231,14 +228,11 @@ def spectrum_to_csv(spectrum: Spectrum, path) -> None:
     The magnitude is np.hypot, which equals abs() of a Python complex bit for
     bit; np.abs of a complex array can differ in the last bit.
     """
-    row = "%d,%.17g,%.17g,%.17g,%.17g\n"
-    bins = spectrum.bins
+    c = spectrum.bins
+    k = np.arange(c.size)
+    # %d prints the bin index, an exact integral float in the table
+    table = np.column_stack([k, k * spectrum.bin_width, c.real, c.imag,
+                             np.hypot(c.real, c.imag)])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("bin,frequency_hz,real,imag,magnitude\n")
-        for start in range(0, bins.size, _CSV_CHUNK_ROWS):
-            c = bins[start:start + _CSV_CHUNK_ROWS]
-            k = np.arange(start, start + c.size)
-            # one float table; %d prints the bin index, an exact integral float
-            table = np.column_stack([k, k * spectrum.bin_width, c.real, c.imag,
-                                     np.hypot(c.real, c.imag)])
-            fh.write(row * c.size % tuple(table.ravel().tolist()))
+        _write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g\n", table)

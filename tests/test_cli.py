@@ -86,7 +86,8 @@ class TestSignalIO:
 
     def test_csv_write_matches_per_value_formatting(self, tmp_path):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal(2 * 4096 + 3) * 10.0 ** rng.integers(-300, 300)
+        n = 2 * fio._CSV_CHUNK_VALUES + 3
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         x[:4] = [0.0, -0.0, 5e-324, 1.0 / 3.0]
         path = tmp_path / "sig.csv"
         fio.write_signal_csv(SampledSignal(x, 44100.0), path)

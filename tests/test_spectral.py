@@ -6,9 +6,9 @@ import pytest
 from fundcomp.activations import ActivationSpec, apply
 from fundcomp.errors import EmptyBand, SignalTooShort, ZeroDenominator
 from fundcomp.signal_model import SampledSignal, TrigPolynomial, sample
+from fundcomp.io import _CSV_CHUNK_VALUES
 from fundcomp.spectral import (
-    _CSV_CHUNK_ROWS,
-    _STFT_BLOCK_FRAMES,
+    _BLOCK_FRAMES,
     Spectrogram,
     Spectrum,
     band_energy_ratio,
@@ -177,7 +177,7 @@ class TestStft:
     @pytest.mark.parametrize("hop", [2, 7, 64])
     def test_blocks_match_stacked_oracle(self, hop):
         # a frame count that is not a multiple of the block size
-        n_frames = 3 * _STFT_BLOCK_FRAMES + 5
+        n_frames = 3 * _BLOCK_FRAMES + 5
         x = np.random.default_rng(hop).standard_normal((n_frames - 1) * hop + 1)
         spg = stft(SampledSignal(x, 100.0), 96, hop, 128)
         assert spg.n_frames == n_frames
@@ -309,7 +309,7 @@ class TestExports:
         assert list(pixels) == [0, 64, 128, 255]
 
     def test_pgm_rows_match_whole_matrix_scaling(self, tmp_path):
-        m = np.random.default_rng(4).random((2 * _STFT_BLOCK_FRAMES + 3, 9))
+        m = np.random.default_rng(4).random((2 * _BLOCK_FRAMES + 3, 9))
         path = tmp_path / "s.pgm"
         spectrogram_to_pgm(Spectrogram(m, 1.0, 1.0, "t"), path)
         lo, hi = m.min(), m.max()
@@ -318,7 +318,8 @@ class TestExports:
             expected.tobytes()
 
     def test_csv_matches_per_value_formatting(self, tmp_path):
-        m = np.abs(wide_range_values(np.random.default_rng(5), (7, 13)))
+        # rows of 4097 bins, a few to a chunk
+        m = np.abs(wide_range_values(np.random.default_rng(5), (7, 4097)))
         m[0, :3] = [0.0, 5e-324, 1.0 / 3.0]
         path = tmp_path / "s.csv"
         spectrogram_to_csv(Spectrogram(m, 1.0, 1.0, "t"), path)
@@ -328,7 +329,7 @@ class TestExports:
 
     def test_spectrum_csv_matches_per_value_formatting(self, tmp_path):
         rng = np.random.default_rng(6)
-        n = _CSV_CHUNK_ROWS + 5
+        n = _CSV_CHUNK_VALUES // 5 + 7  # more rows than one chunk holds
         bins = wide_range_values(rng, n) + 1j * wide_range_values(rng, n)
         bins[:1000] = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
         # the case a vectorised np.abs gets wrong in the last bit
@@ -342,3 +343,16 @@ class TestExports:
             f"{c.real:.17g},{c.imag:.17g},{abs(c):.17g}\n"
             for k, c in enumerate(spec.bins))
         assert path.read_bytes() == expected.encode("ascii")
+
+    def test_csv_formats_a_few_rows_at_a_time(self, tmp_path):
+        # the Python floats and the text of the whole matrix would take
+        # several times its bytes
+        spg = Spectrogram(np.random.default_rng(8).random((64, 4097)), 1.0,
+                          1.0, "t")
+        tracemalloc.start()
+        try:
+            spectrogram_to_csv(spg, tmp_path / "s.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= spg.matrix.nbytes
