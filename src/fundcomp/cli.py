@@ -74,6 +74,7 @@ def _parse_epsilon(text: str) -> float:
 
 
 def _parse_positive_int(text: str) -> int:
+    """Integer options that count something: at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -116,9 +117,10 @@ def _parse_eps_ladder(text: str) -> list[float]:
 def cmd_analyze(args) -> int:
     signal = io.read_signal(args.input)
     rate = signal.sample_rate
-    window = args.window or max(4, int(round(2 * rate)))
-    hop = args.hop or max(1, int(round(rate / 10)))
-    fft_length = args.fft_length or max(window, 1 << (window - 1).bit_length())
+    window = args.window if args.window else max(4, int(round(2 * rate)))
+    hop = args.hop if args.hop else max(1, int(round(rate / 10)))
+    fft_length = args.fft_length if args.fft_length else max(
+        window, 1 << (window - 1).bit_length())
     spec = _parse_activation(args.activation, args.epsilon)
 
     activated = activations.apply(spec, signal)
