@@ -5,8 +5,8 @@ import pytest
 
 from fundcomp.activations import ActivationSpec, apply
 from fundcomp.errors import EmptyBand, SignalTooShort, ZeroDenominator
-from fundcomp.signal_model import SampledSignal, TrigPolynomial, sample
 from fundcomp.io import _CSV_CHUNK_VALUES
+from fundcomp.signal_model import SampledSignal, TrigPolynomial, sample
 from fundcomp.spectral import (
     _BLOCK_FRAMES,
     Spectrogram,
@@ -173,7 +173,6 @@ class TestStft:
         b = s2.matrix[12:44]
         assert np.max(np.abs(a - b)) < 1e-6 * max(np.max(a), 1.0)
 
-
     @pytest.mark.parametrize("hop", [2, 7, 64])
     def test_blocks_match_stacked_oracle(self, hop):
         # a frame count that is not a multiple of the block size
@@ -253,7 +252,6 @@ class TestDynamicRangeClip:
         lo, hi = np.percentile(m, [5.0, 95.0])
         assert np.array_equal(out.matrix, np.clip(m, lo, hi))
 
-
     def test_default_percentiles_match_separate_calls(self):
         m = np.random.default_rng(3).random((50, 70)) ** 8
         out = dynamic_range_clip(Spectrogram(m, 1.0, 1.0, "test"))
@@ -332,7 +330,7 @@ class TestExports:
         n = _CSV_CHUNK_VALUES // 5 + 7  # more rows than one chunk holds
         bins = wide_range_values(rng, n) + 1j * wide_range_values(rng, n)
         bins[:1000] = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-        # the case a vectorised np.abs gets wrong in the last bit
+        # inputs where np.abs of the array and abs() of each complex differ
         python_abs = np.array([abs(complex(c)) for c in bins])
         assert np.any(np.abs(bins) != python_abs)
         spec = Spectrum(bins, 0.1)
