@@ -139,11 +139,12 @@ class PeakSet:
 
 
 def evaluate(poly: TrigPolynomial, t):
-    """Evaluate f at scalar or array t (complex for the complex form)."""
+    """Evaluate f at scalar or array t of any shape (complex for the complex form)."""
     t_arr = np.asarray(t, dtype=np.float64)
     omega = TWO_PI / poly.period
     phases = np.exp(1j * omega * np.multiply.outer(t_arr, poly.frequencies))
-    vals = phases @ poly.amplitudes
+    # einsum, not a BLAS product: see _ModulusSquared.at
+    vals = np.einsum("...k,k->...", phases, poly.amplitudes)
     if poly.real_cosine_form:
         vals = vals.real
     if np.ndim(t) == 0:

@@ -14,7 +14,6 @@ of |f|.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
@@ -33,7 +32,7 @@ from .signal_model import (
     find_global_maxima,
 )
 
-# Gauss 7 / Kronrod 15 nodes on [-1, 1] and their weights.
+# Gauss 7 / Kronrod 15 nodes on [-1, 1] and their weights (rows: Kronrod, Gauss).
 _GK_NODES = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
     -0.741531185599394, -0.586087235467691, -0.405845151377397,
@@ -41,20 +40,20 @@ _GK_NODES = np.array([
     0.586087235467691, 0.741531185599394, 0.864864423359769,
     0.949107912342759, 0.991455371120813,
 ])
-_GK_WEIGHTS_K = np.array([
+_GK_WEIGHTS = np.array([[
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728, 0.204432940075298,
     0.190350578064785, 0.169004726639267, 0.140653259715525,
     0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_GK_WEIGHTS_G = np.array([
+], [
     0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
     0.381830050505119, 0.0, 0.417959183673469, 0.0, 0.381830050505119,
     0.0, 0.279705391489277, 0.0, 0.129484966168870, 0.0,
-])
+]])
 
 MAX_PANEL_SPLITS = 20000
+_BLOCK_PANELS = 64  # panels per integrand call: bounds evaluate's temporaries
 
 
 @dataclass(frozen=True)
@@ -127,47 +126,48 @@ def cauchy_tail_integral(A: float, B: float, C: float = 0.0) -> float:
     return (math.pi - 2.0 * math.atan(math.sqrt(B / A) * C)) / math.sqrt(A * B)
 
 
-def _gk_panel(fun, a: float, b: float) -> tuple[complex, float]:
+def _gk_panels(fun, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and |Kronrod - Gauss| error estimates of panels [a, b],
+    with `fun` called on (_BLOCK_PANELS, 15) blocks of their nodes."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = fun(mid + half * _GK_NODES)
-    ik = half * np.sum(_GK_WEIGHTS_K * vals)
-    ig = half * np.sum(_GK_WEIGHTS_G * vals)
-    return complex(ik), abs(ik - ig)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+    vals = np.concatenate([fun(x[i:i + _BLOCK_PANELS])
+                           for i in range(0, len(x), _BLOCK_PANELS)])
+    ik, ig = half * np.einsum("pn,wn->wp", vals, _GK_WEIGHTS)
+    return ik, np.abs(ik - ig)
 
 
 def adaptive_quadrature(fun, edges, abs_tol: float,
                         max_splits: int = MAX_PANEL_SPLITS) -> complex:
     """Adaptive Gauss-Kronrod integration over the panels defined by `edges`.
 
-    `fun` must accept an ndarray of abscissae and return complex values.
-    Raises QuadratureNonConvergence if the refinement budget is exhausted.
+    `fun` maps an abscissa array of any shape to complex values.  Each
+    generation halves the worst panels, enough to cover all but abs_tol / 2
+    of the total error estimate, until that total is at most abs_tol.
+    Raises QuadratureNonConvergence once over `max_splits` panels are split.
     """
-    heap = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    for a, b in zip(edges, edges[1:]):
-        if b <= a:
-            continue
-        val, err = _gk_panel(fun, a, b)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, a, b, val))
+    edges = np.asarray(edges, dtype=np.float64)
+    keep = edges[1:] > edges[:-1]
+    a, b = edges[:-1][keep], edges[1:][keep]
+    if not a.size:
+        return 0j
+    val, err = _gk_panels(fun, a, b)
     splits = 0
-    while total_err > abs_tol and heap:
-        neg_err, a, b, val = heapq.heappop(heap)
-        splits += 1
+    while (total_err := err.sum()) > abs_tol:
+        order = np.argsort(err)[::-1]
+        n = 1 + np.searchsorted(np.cumsum(err[order]), total_err - 0.5 * abs_tol)
+        split, kept = order[:n], order[n:]
+        splits += split.size
         if splits > max_splits:
             raise QuadratureNonConvergence(
                 f"error {total_err:.3e} > tol {abs_tol:.3e} after {max_splits} splits")
-        mid = 0.5 * (a + b)
-        v1, e1 = _gk_panel(fun, a, mid)
-        v2, e2 = _gk_panel(fun, mid, b)
-        total += v1 + v2 - val
-        total_err += e1 + e2 + neg_err
-        heapq.heappush(heap, (-e1, a, mid, v1))
-        heapq.heappush(heap, (-e2, mid, b, v2))
-    return total
+        mid = 0.5 * (a[split] + b[split])
+        a = np.concatenate([a[kept], a[split], mid])
+        b = np.concatenate([b[kept], mid, b[split]])
+        new_val, new_err = _gk_panels(fun, a[kept.size:], b[kept.size:])
+        val = np.concatenate([val[kept], new_val])
+        err = np.concatenate([err[kept], new_err])
+    return complex(val.sum())
 
 
 def _peak_aware_edges(peaks: PeakSet, epsilon: float, period: float,
@@ -301,45 +301,44 @@ def gcd_reduction_check(poly: TrigPolynomial, epsilon: float) -> tuple[complex, 
             _fundamental_integral(poly, peaks, epsilon, g))
 
 
-def sumset_support(M: FrequencySet, k: int, range_limit: int) -> set[int]:
-    """Support {|s - t| : s, t in the k-fold sumset of M}, clipped to range.
+def _clipped_supports(M: FrequencySet, range_limit: int):
+    """Masks over 0..range_limit of sumset_support(M, k, range_limit), k >= 1.
 
-    Computed on the difference representation: kM - kM equals the k-fold
-    sumset of M - M, which can be clipped to |d| <= range_limit + max(M) at
-    every fold without losing any element of the final range.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    kM - kM is the k-fold sumset of D = M - M, clipped to |d| <= range_limit
+    + max(M) at every fold without losing any element of the final range.
+    A fold ORs the previous mask shifted by every element of D (one integer
+    convolution); the set is symmetric, so its nonnegative half is the mask."""
     if range_limit < M.max_element:
         raise ValueError("range_limit must be at least max(M)")
     clip = range_limit + M.max_element
-    diffs = {a - b for a in M.elements for b in M.elements}
-    current = {d for d in diffs if abs(d) <= clip}
-    for _ in range(k - 1):
-        current = {d + e for d in current for e in diffs if abs(d + e) <= clip}
-    return {abs(d) for d in current if abs(d) <= range_limit}
+    width = M.max_element - M.elements[0]
+    kernel = np.zeros(2 * width + 1, dtype=np.int64)
+    kernel[[a - b + width for a in M.elements for b in M.elements]] = 1
+    current = np.arange(-clip, clip + 1) == 0  # the 0-fold sumset {0}
+    while True:
+        current = np.convolve(current, kernel, mode="same") > 0
+        yield current[clip:clip + range_limit + 1]
 
 
-def sumset_support_bruteforce(M: FrequencySet, k: int, range_limit: int) -> set[int]:
-    """Exhaustive oracle: enumerate every k-tuple sum.  Small inputs only."""
-    sums = {sum(tup) for tup in itertools.product(M.elements, repeat=k)}
-    return {abs(s - t) for s in sums for t in sums if abs(s - t) <= range_limit}
+def sumset_support(M: FrequencySet, k: int, range_limit: int) -> set[int]:
+    """Support {|s - t| : s, t in the k-fold sumset of M}, clipped to range."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    mask = next(itertools.islice(_clipped_supports(M, range_limit), k - 1, None))
+    return set(np.flatnonzero(mask).tolist())
 
 
 def sumset_gcd_limit(M: FrequencySet, k_max: int,
                      range_limit: int) -> tuple[int, int | None]:
     """(gcd(M), smallest k whose clipped support equals gcd(M)*Z and stays so)."""
     g = M.gcd()
-    target = set(range(0, range_limit + 1, g))
-    stabilization = None
-    prev_match = False
-    for k in range(1, k_max + 2):
-        match = sumset_support(M, k, range_limit) == target
-        if prev_match and match and k - 1 <= k_max:
-            stabilization = k - 1
-            break
-        prev_match = match
-    return g, stabilization
+    target = np.arange(range_limit + 1) % g == 0
+    folds = itertools.islice(_clipped_supports(M, range_limit), k_max + 1)
+    matches = (np.array_equal(mask, target) for mask in folds)
+    for k, (match, next_match) in enumerate(itertools.pairwise(matches), 1):
+        if match and next_match:
+            return g, k
+    return g, None
 
 
 def write_reports_jsonl(result: ScalingResult, fh) -> None:

@@ -22,8 +22,8 @@ from fundcomp.theory import (
     scaling_verification,
     sumset_gcd_limit,
     sumset_support,
-    sumset_support_bruteforce,
 )
+from theory_oracles import sumset_support_bruteforce
 
 TWO_EXP = TrigPolynomial(((1, 1 + 0j), (2, 1 + 0j)))
 

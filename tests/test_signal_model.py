@@ -72,6 +72,20 @@ class TestEvaluate:
         p = TrigPolynomial(terms)
         assert abs(evaluate(p, t) - evaluate(p, t + p.period)) < 1e-12
 
+    @pytest.mark.parametrize("real_cosine_form", [False, True])
+    def test_2d_abscissae_match_row_by_row(self, real_cosine_form):
+        rng = np.random.default_rng(4)
+        terms = tuple((int(m), complex(*rng.normal(size=2)))
+                      for m in rng.choice(np.arange(1, 60), 9, replace=False))
+        p = TrigPolynomial(terms, period=3.0, real_cosine_form=real_cosine_form)
+        t = rng.uniform(0.0, 3.0, size=(5, 15))
+        vals = evaluate(p, t)
+        assert vals.shape == t.shape
+        for row, t_row in zip(vals, t):
+            np.testing.assert_allclose(row, evaluate(p, t_row), rtol=1e-15)
+            np.testing.assert_allclose(
+                row, [evaluate(p, float(x)) for x in t_row], rtol=1e-15)
+
 
 class TestSample:
     def test_unit_cosine_512(self):

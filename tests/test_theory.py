@@ -5,11 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from fundcomp import theory
-from fundcomp.errors import ConstantModulus
+from fundcomp.errors import ConstantModulus, QuadratureNonConvergence
 from fundcomp.signal_model import TrigPolynomial, find_global_maxima
 from fundcomp.theory import (
     AsymptoticReport,
     FrequencySet,
+    adaptive_quadrature,
     asymptotic_prediction,
     cauchy_tail_integral,
     gcd_reduction_check,
@@ -17,6 +18,10 @@ from fundcomp.theory import (
     scaling_verification,
     sumset_gcd_limit,
     sumset_support,
+)
+from theory_oracles import (
+    heap_quadrature,
+    live_error_estimate,
     sumset_support_bruteforce,
 )
 
@@ -77,6 +82,54 @@ class TestNumericIntegral:
     def test_epsilon_out_of_range(self):
         with pytest.raises(ValueError):
             numeric_fundamental_integral(TWO_EXP, 1.5)
+
+
+class TestAdaptiveQuadrature:
+    A = 1.0 + 1e-4  # 1/(A - cos t) peaks at t = 0 with width about 0.014
+
+    def integrand(self, calls):
+        def fun(t):
+            calls.append(t)
+            return 1.0 / (self.A - np.cos(t))
+        return fun
+
+    def test_sharp_periodic_peak_closed_form(self):
+        calls = []
+        exact = 2 * math.pi / math.sqrt(self.A ** 2 - 1)
+        got = adaptive_quadrature(self.integrand(calls),
+                                  np.linspace(0, 2 * math.pi, 9), 1e-8)
+        assert abs(got - exact) <= 1e-8
+        # one call for the 8 initial panels, then one per generation
+        assert calls[0].shape == (8, 15)
+        assert len(calls) >= 5
+
+    def test_stops_at_first_generation_within_tolerance(self):
+        calls = []
+        tol = 1e-8
+        adaptive_quadrature(self.integrand(calls),
+                            np.linspace(0, 2 * math.pi, 9), tol)
+        # each generation here has fewer than 64 panels: one call each
+        fun = self.integrand([])
+        assert live_error_estimate(fun, calls) <= tol
+        assert live_error_estimate(fun, calls[:-1]) > tol
+
+    def test_split_budget_exhausted(self):
+        with pytest.raises(QuadratureNonConvergence):
+            adaptive_quadrature(self.integrand([]),
+                                np.linspace(0, 2 * math.pi, 9), 1e-8,
+                                max_splits=4)
+
+    @pytest.mark.parametrize("poly", [
+        TWO_EXP,
+        TrigPolynomial(((3, 0.4 - 0.2j), (11, 0.7j), (17, -0.5 + 0j),
+                        (29, 0.3 + 0.3j), (40, 0.9 + 0j))),
+    ])
+    def test_within_tolerance_of_heap_reference(self, poly, monkeypatch):
+        eps = 1e-5
+        got = numeric_fundamental_integral(poly, eps)
+        monkeypatch.setattr(theory, "adaptive_quadrature", heap_quadrature)
+        ref = numeric_fundamental_integral(poly, eps)
+        assert abs(got - ref) <= 1e-6 * eps ** -0.5
 
 
 class TestPrediction:
@@ -203,6 +256,7 @@ class TestSumsets:
 
     @pytest.mark.parametrize("elements,k", [
         ((2, 3), 4), ((5, 7, 11), 3), ((4, 6), 6), ((3, 5, 8, 9), 3),
+        ((1, 2, 8), 3),
     ])
     def test_matches_bruteforce(self, elements, k):
         M = FrequencySet(elements)
@@ -222,7 +276,7 @@ class TestSumsets:
     def test_gcd_limit_pair(self):
         g, k = sumset_gcd_limit(FrequencySet((2, 3)), 50, 20)
         assert g == 1
-        assert k is not None
+        assert k == 20  # kM - kM = [-k, k] for M = {2, 3}
         assert sumset_support(FrequencySet((2, 3)), k, 20) == set(range(21))
 
     def test_singleton_never_stabilizes(self):
