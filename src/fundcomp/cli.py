@@ -214,6 +214,10 @@ def cmd_synth_bench(args) -> int:
 def cmd_sumset(args) -> int:
     freqs = args.freqs
     range_limit = args.range if args.range else 10 * freqs.max_element
+    if range_limit < freqs.max_element:
+        print(f"fundcomp sumset: error: --range {range_limit} is below the "
+              f"max frequency {freqs.max_element}", file=sys.stderr)
+        return EXIT_USAGE
     gcd, stab = theory.sumset_gcd_limit(freqs, args.kmax, range_limit)
     print(f"frequencies      {','.join(map(str, freqs.elements))}")
     print(f"gcd              {gcd}")
@@ -268,8 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activations", type=_parse_activation_list,
                    default=experiments.DEFAULT_ACTIVATIONS,
                    help="e.g. abs,relu,heps:0.2,heps:0.1,heps:0.05")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("FUNDCOMP_WORKERS", "1")))
+    # a string default goes through `type`, so a bad FUNDCOMP_WORKERS is a
+    # usage error of synth-bench alone
+    p.add_argument("--workers", type=_parse_positive_int,
+                   default=os.environ.get("FUNDCOMP_WORKERS", "1"))
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_synth_bench)
 
@@ -277,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freqs", type=_parse_freqs, required=True,
                    help="comma list of positive integers, e.g. 6,9,33")
     p.add_argument("--kmax", type=_parse_positive_int, default=50)
-    p.add_argument("--range", type=int, default=0,
-                   help="support range limit (default 10 * max frequency)")
+    p.add_argument("--range", type=_parse_positive_int, default=None,
+                   help="support range limit, at least the max frequency "
+                        "(default 10 * max frequency)")
     p.set_defaults(func=cmd_sumset)
     return parser
 

@@ -361,7 +361,23 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv", [
         ["--freqs", "0,3"], ["--freqs", "2,-3"], ["--freqs", "2,x"],
-        ["--freqs", "2,3", "--kmax", "-1"], ["--freqs", "2,3", "--kmax", "0"]])
+        ["--freqs", "2,3", "--kmax", "-1"], ["--freqs", "2,3", "--kmax", "0"],
+        ["--freqs", "2,3", "--range", "1"], ["--freqs", "2,3", "--range", "-5"]])
     def test_bad_sumset_option(self, capsys, argv):
         assert main(["sumset", *argv]) == 2
         assert "gcd" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_workers_option(self, tmp_path, workers):
+        out = tmp_path / "out"
+        assert main(["synth-bench", "--trials", "1", "--workers", workers,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_bad_workers_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FUNDCOMP_WORKERS", "abc")
+        out = tmp_path / "out"
+        assert main(["synth-bench", "--trials", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        # only synth-bench reads it
+        assert main(["sumset", "--freqs", "2,3"]) == 0
