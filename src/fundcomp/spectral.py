@@ -195,9 +195,8 @@ def band_energy_ratio(spectrogram: Spectrogram, if_curve, half_width: float = 0.
 
 def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
     """One CSV row per frame, entries printed with 17 significant digits."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        _write_rows(fh, ",".join(["%.17g"] * spectrogram.n_bins) + "\n",
-                    spectrogram.matrix)
+    with open(path, "wb") as fh:
+        _write_rows(fh, spectrogram.matrix)
 
 
 def spectrogram_to_pgm(spectrogram: Spectrogram, path) -> None:
@@ -230,9 +229,9 @@ def spectrum_to_csv(spectrum: Spectrum, path) -> None:
     """
     c = spectrum.bins
     k = np.arange(c.size)
-    # %d prints the bin index, an exact integral float in the table
+    # the bin index is an integral float below 2^53, which %.17g prints as %d
     table = np.column_stack([k, k * spectrum.bin_width, c.real, c.imag,
                              np.hypot(c.real, c.imag)])
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("bin,frequency_hz,real,imag,magnitude\n")
-        _write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g\n", table)
+    with open(path, "wb") as fh:
+        fh.write(b"bin,frequency_hz,real,imag,magnitude\n")
+        _write_rows(fh, table)
