@@ -73,6 +73,17 @@ def _parse_epsilon(text: str) -> float:
     return eps
 
 
+def _parse_half_width(text: str) -> float:
+    """--half-width: a finite positive number of Hz."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return value
+
+
 def _parse_positive_int(text: str) -> int:
     """Integer options that count something: at least 1."""
     try:
@@ -127,6 +138,9 @@ def cmd_analyze(args) -> int:
     spectrum = spectral.dft(activated)
     spg = spectral.stft(activated, window, hop, fft_length)
     max_bin = min(256, len(spectrum.bins) - 1)
+    # half a bin apart always reaches a bin (band_energy_ratio)
+    half_width = args.half_width if args.half_width else max(
+        0.2, spg.freq_step / 2)
     ratio = spectral.fundamental_energy_ratio(spectrum, 1, max_bin)
 
     report = {
@@ -145,7 +159,7 @@ def cmd_analyze(args) -> int:
                 f"{args.if_curve}: {curve.size} IF values for {spg.n_frames} frames")
         duration = len(signal) / rate
         report["band_energy_ratio"] = spectral.band_energy_ratio(
-            spg, curve, half_width=args.half_width,
+            spg, curve, half_width=half_width,
             band_floor=1.0 / duration, band_ceiling=rate / 2.0)
     # rebound, so the unclipped matrix is freed before export
     spg = spectral.dynamic_range_clip(spg)
@@ -167,7 +181,7 @@ def cmd_analyze(args) -> int:
         "input": str(args.input), "activation": spec.label,
         "epsilon": args.epsilon, "window": window, "hop": hop,
         "fft_length": fft_length, "export": sorted(exports),
-        "if_curve": args.if_curve, "half_width": args.half_width,
+        "if_curve": args.if_curve, "half_width": half_width,
     }, io.sha256_file(args.input))
     print(f"fundamental_energy_ratio {ratio:.17g}")
     return EXIT_OK
@@ -251,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from {csv,pgm,json}")
     p.add_argument("--if-curve", default=None,
                    help="CSV with one instantaneous frequency (Hz) per frame")
-    p.add_argument("--half-width", type=float, default=0.2)
+    p.add_argument("--half-width", type=_parse_half_width, default=None,
+                   help="band half-width in Hz around the IF curve (default: "
+                        "the larger of 0.2 and half the STFT bin spacing)")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_analyze)
 

@@ -180,9 +180,13 @@ def band_energy_ratio(spectrogram: Spectrogram, if_curve, half_width: float = 0.
     denom = float(np.sum(spectrogram.matrix[:, denom_mask]))
     if denom == 0.0:
         raise ZeroDenominator("no spectrogram energy in the reference band")
+    # a bin exactly half_width away still counts when rounding of the grid
+    # or the curve puts it an ulp or two further, so that half the bin
+    # spacing always reaches a bin
+    reach = half_width + 4 * np.finfo(np.float64).eps * float(freqs[-1])
     num = 0.0
     for i in range(spectrogram.n_frames):
-        mask = np.abs(freqs - curve[i]) <= half_width
+        mask = np.abs(freqs - curve[i]) <= reach
         if not np.any(mask):
             raise EmptyBand(
                 f"frame {i}: no frequency bin within {half_width} Hz of "

@@ -192,6 +192,30 @@ class TestAnalyze:
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["band_energy_ratio"] <= 1.0
 
+    def test_default_half_width_reaches_a_bin_at_4khz(self, tmp_path):
+        # bins 4000 / 8192 = 0.488 Hz apart; 1.25 Hz is 0.215 Hz from the
+        # nearest, beyond the old default 0.2 Hz
+        src = tmp_path / "tone.wav"
+        write_tone_wav(src, freq=2, rate=4000, duration=3.0)
+        curve = tmp_path / "if.csv"
+        curve.write_text("1.25\n" * 30)
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--if-curve", str(curve),
+                     "--export", "json", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["half_width"] == 4000 / 8192 / 2
+        report = json.loads((out / "report.json").read_text())
+        assert 0.0 < report["band_energy_ratio"] < 1.0
+
+    def test_given_half_width_is_recorded(self, tmp_path):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--half-width", "0.3",
+                     "--export", "json", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["half_width"] == 0.3
+
     def test_nan_sample_exits_input_error(self, tmp_path):
         src = tmp_path / "tone.csv"
         write_tone_csv(src)
@@ -356,6 +380,15 @@ class TestUsage:
         write_tone_csv(src)
         out = tmp_path / "out"
         assert main(["analyze", str(src), option, value,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.2", "nan", "inf", "x"])
+    def test_bad_half_width(self, tmp_path, value):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--half-width", value,
                      "--out", str(out)]) == 2
         assert not out.exists()
 

@@ -289,6 +289,17 @@ class TestBandEnergyRatio:
             band_energy_ratio(spg, curve, half_width=1e-6)
 
 
+    def test_half_spacing_reaches_a_midpoint(self):
+        # bins 0, 0.1, ..., 1.0; 0.55 lies an ulp more than 0.05 from the
+        # rounded bins 0.5 and 0.6000000000000001
+        spg = Spectrogram(np.ones((2, 11)), 1.0, 0.1, "t")
+        curve = np.array([0.55, 0.05])
+        assert np.all(np.abs(spg.frequencies()[5:7] - 0.55) > 0.05)
+        assert band_energy_ratio(spg, curve, spg.freq_step / 2) == 4 / 22
+        with pytest.raises(EmptyBand):
+            band_energy_ratio(spg, curve, 0.0499)
+
+
 class TestExports:
     def test_csv_row_per_frame(self, tmp_path):
         spg = Spectrogram(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0, 1.0, "t")
