@@ -96,52 +96,60 @@ def _powers_of_ten():
     return np.ldexp(hi, s), np.ldexp(lo, s)
 
 
+def _digit_groups():
+    """Group g -> its 4 ASCII digits (first digit in the low byte), and the
+    trailing zero digits of g (4 for 0), over the 10 x 10 x 10 x 10 grid."""
+    d = np.arange(10, dtype=_U64)
+    c = d + _U64(48)
+    dig4 = (c[:, None, None, None] | c[:, None, None] << _U64(8)
+            | c[:, None] << _U64(16) | c << _U64(24))
+    z = d == 0
+    z2 = z & z[:, None]
+    z3 = z2 & z[:, None, None]
+    tz4 = z.astype(np.int8) + z2 + z3 + (z3 & z[:, None, None, None])
+    return dig4.ravel(), tz4.ravel()
+
+
 def _word(text: str) -> int:
     return int.from_bytes(text.encode("ascii"), "little")
 
 
+def _exponent_layout(dig4):
+    """By exponent: %g's form, the '.' position, the prefix and the suffix."""
+    x = np.arange(E_MIN, E_MAX + 1)
+    expo = (x < -4) | (x > 16)                # d.ddde+XX
+    small = ~expo & (x < 0)                   # 0.000ddd: "0." and zeros lead
+    zeros = np.where(small, -x - 1, 0)
+    # '.' after this many digits; 0 for "after the last significant digit"
+    point = np.where(expo, 1, np.where(small, 0, x + 1))
+    lead_zeros = _word("000") & ((1 << 8 * zeros) - 1)
+    prefix = np.where(small, _word("0.") | lead_zeros << 16, 0)
+    wide = np.abs(x) >= 100                   # three exponent digits
+    exp_digits = dig4[np.abs(x)] >> np.where(wide, _U64(8), _U64(16))
+    suffix = np.where(expo, _word("e") | np.where(x < 0, _word("-"), _word("+")) << 8
+                      | exp_digits.astype(np.int64) << 16, 0)
+    return (point, prefix.astype(_U64), np.where(small, 2 + zeros, 0),
+            suffix.astype(_U64), np.where(expo, np.where(wide, 5, 4), 0).astype(_U64))
+
+
+def _digit_masks():
+    """Per word of the digit part, by k ('.' after k digits) and, at
+    k * 19 + ld, by the part's length ld: the digits kept in place, the
+    digits moved one byte up past the '.', and the '.' itself."""
+    n = np.arange(25)
+    ones = np.full(25, 2 ** 64 - 1, _U64)
+    low = [~(ones << (8 * np.clip(n - 8 * w, 0, 8)).astype(_U64)) for w in range(3)]
+    k = np.arange(18)[:, None]
+    ld = np.arange(19)[None, :]
+    return ([lw[:18] for lw in low],
+            [(~lw[k + 1] & lw[ld]).ravel() for lw in low],
+            [(_DOTS & (lw[k + 1] ^ lw[k]) & lw[ld]).ravel() for lw in low])
+
+
 _POW_HI, _POW_LO = _powers_of_ten()
-
-# group g -> its 4 ASCII digits (first digit in the low byte), and its
-# trailing zero digits (4 for 0), over the 10 x 10 x 10 x 10 digit grid
-_d = np.arange(10, dtype=_U64)
-_DIG4 = ((_d[:, None, None, None] + _U64(48)) | (_d[:, None, None] + _U64(48)) << _U64(8)
-         | (_d[:, None] + _U64(48)) << _U64(16) | (_d + _U64(48)) << _U64(24)).ravel()
-_z = _d == 0
-_z3 = _z & _z[:, None]
-_z2 = _z3 & _z[:, None, None]
-_TZ4 = (_z.astype(np.int8) + _z3 + _z2 + (_z2 & _z[:, None, None, None])).ravel()
-
-# by exponent: %g's form, where '.' goes, the prefix and the suffix
-_x = np.arange(E_MIN, E_MAX + 1)
-_expo = (_x < -4) | (_x > 16)                 # d.ddde+XX
-_small = ~_expo & (_x < 0)                    # 0.000ddd: "0." and zeros lead
-_zeros = np.where(_small, -_x - 1, 0)
-# '.' after this many digits; 0 for "after the last significant digit"
-_POINT = np.where(_expo, 1, np.where(_small, 0, _x + 1))
-_PREFIX = np.where(
-    _small, _word("0.") | (_word("000") & ((1 << 8 * _zeros) - 1)) << 16, 0
-).astype(_U64)
-_PREFIX_LEN = np.where(_small, 2 + _zeros, 0)
-_wide = np.abs(_x) >= 100                     # three exponent digits
-_SUFFIX = np.where(
-    _expo, _word("e") | np.where(_x < 0, _word("-"), _word("+")) << 8
-    | (_DIG4[np.abs(_x)] >> np.where(_wide, _U64(8), _U64(16))).astype(np.int64) << 16,
-    0).astype(_U64)
-_SUFFIX_LEN = np.where(_expo, np.where(_wide, 5, 4), 0).astype(_U64)
-
-# Per word of the digit part, by k ('.' after k digits) and, at k * 19 + ld,
-# by the part's length ld: the digits kept in place, the digits moved one
-# byte up past the '.', and the '.' itself
-_n = np.arange(25)
-_low = [~(np.full(25, 2 ** 64 - 1, _U64) << (8 * np.clip(_n - 8 * w, 0, 8)).astype(_U64))
-        for w in range(3)]
-_k = np.arange(18)[:, None]
-_ld = np.arange(19)[None, :]
-_KEEP = [lw[:18] for lw in _low]
-_MOVE = [(~lw[_k + 1] & lw[_ld]).ravel() for lw in _low]
-_DOT = [(_DOTS & (lw[_k + 1] ^ lw[_k]) & lw[_ld]).ravel() for lw in _low]
-del _d, _z, _z3, _z2, _x, _expo, _small, _zeros, _wide, _n, _low, _k, _ld
+_DIG4, _TZ4 = _digit_groups()
+_POINT, _PREFIX, _PREFIX_LEN, _SUFFIX, _SUFFIX_LEN = _exponent_layout(_DIG4)
+_KEEP, _MOVE, _DOT = _digit_masks()
 
 
 def _significands(ax: np.ndarray):
@@ -166,8 +174,8 @@ def _significands(ax: np.ndarray):
     d += lo > 0.5
     ok &= d < 10 ** 17
     ok &= np.abs(lo - 0.5) > TIE_MARGIN
-    d *= ok
-    j *= ok
+    d *= ok                               # valid indices for the rest, whose
+    j *= ok                               # rows the fallback replaces
     return d, j, ok
 
 
@@ -275,7 +283,8 @@ def format_g17(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
     del words, nd, j
     bad = np.flatnonzero(~ok)
     if bad.size:
-        text = [b"%.17g%c" % (v, s) for v, s in zip(values[bad].tolist(), seps[bad].tolist())]
+        text = [b"%.17g%c" % (v, s)
+                for v, s in zip(values[bad].tolist(), seps[bad].tolist())]
         length[bad] = [len(s) for s in text]
         rows[bad] = np.frombuffer(b"".join(s.ljust(32, b"\0") for s in text),
                                   dtype="<u8").reshape(-1, 4)
