@@ -25,6 +25,7 @@ def written(table):
 
 
 def certified(values):
+    _g17._fill_tables()
     with np.errstate(all="ignore"):
         return _g17._significands(np.abs(values))[2]
 
@@ -49,9 +50,10 @@ def is_tie(v):
 
 class TestFormatG17:
     def test_power_table_within_its_bound(self):
+        hi, lo = _g17._powers_of_ten()
         for i, e in enumerate(range(_g17.E_MIN, _g17.E_MAX + 1)):
             exact = Fraction(10) ** (16 - e)
-            table = Fraction(_g17._POW_HI[i]) + Fraction(_g17._POW_LO[i])
+            table = Fraction(hi[i]) + Fraction(lo[i])
             assert abs(table - exact) <= 4 * Fraction(2) ** -106 * exact
 
     @settings(max_examples=300, deadline=None)
