@@ -41,7 +41,6 @@ E_MIN, E_MAX = -292, 307
 TIE_MARGIN = 2.0 ** -30
 
 _U64 = np.uint64
-_DOTS = _U64(0x2E2E_2E2E_2E2E_2E2E)
 _SPLIT_MASK = _U64(0xFFFF_FFFF_F800_0000)   # all but the low 27 bits
 
 
@@ -66,92 +65,94 @@ def _two_product(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _powers_of_ten():
     """hi + lo within 4 u^2 of 10^(16 - e), for e from E_MIN to E_MAX.
 
-    10^k = 10^(16 q) 10^r with 0 <= r < 16: the 39 powers 10^(16 q) come
+    10^k = 10^(16 q) 10^r with 0 <= r < 16: the powers 10^(16 q) come
     correctly rounded from exact integers, as m 2^s with m within a factor
     of 2 of 1 so that no low part is subnormal, and 10^r is an exact double.
     """
-    k = 16 - np.arange(E_MIN, E_MAX + 1)
-    q, r = np.divmod(k, 16)
-    qs = range(int(q.min()), int(q.max()) + 1)
-    m_hi, m_lo, scale = [], [], []
-    for qq in qs:
-        num, den = (10 ** (16 * qq), 1) if qq >= 0 else (1, 10 ** (-16 * qq))
+    qr = [divmod(k, 16) for k in range(16 - E_MIN, 15 - E_MAX, -1)]
+    m_hi, m_lo, scale = {}, {}, {}
+    for q in {q for q, _ in qr}:
+        num, den = (10 ** (16 * q), 1) if q >= 0 else (1, 10 ** (-16 * q))
         s = num.bit_length() - den.bit_length()
         num, den = (num, den << s) if s >= 0 else (num << -s, den)
-        h = num / den                         # correctly rounded
-        a, b = h.as_integer_ratio()
-        m_hi.append(h)
-        m_lo.append((num * b - a * den) / (den * b))
-        scale.append(s)
-    i = q - qs.start
-    m_hi = np.array(m_hi).take(i)
-    ten_r = (10 ** r).astype(np.float64)       # exact below 2^53
-    hi = m_hi * ten_r
-    lo = _two_product(m_hi, ten_r, hi)
-    lo += np.array(m_lo).take(i) * ten_r
+        m_hi[q] = num / den                   # correctly rounded
+        a, b = m_hi[q].as_integer_ratio()
+        m_lo[q] = (num * b - a * den) / (den * b)
+        scale[q] = 2.0 ** s
+    ten_r = np.array([float(10 ** r) for _, r in qr])
+    hi_m = np.array([m_hi[q] for q, _ in qr])
+    hi = hi_m * ten_r
+    lo = _two_product(hi_m, ten_r, hi)
+    lo += np.array([m_lo[q] for q, _ in qr]) * ten_r
     hi, lo = hi + lo, lo - ((hi + lo) - hi)
-    s = np.array(scale).take(i)
-    return np.ldexp(hi, s), np.ldexp(lo, s)
+    scale = np.array([scale[q] for q, _ in qr])   # exact: hi, lo stay normal
+    return hi * scale, lo * scale
 
 
 def _digit_groups():
     """Group g -> its 4 ASCII digits (first digit in the low byte), and the
-    trailing zero digits of g (4 for 0), over the 10 x 10 x 10 x 10 grid."""
-    d = np.arange(10, dtype=_U64)
-    c = d + _U64(48)
-    dig4 = (c[:, None, None, None] | c[:, None, None] << _U64(8)
-            | c[:, None] << _U64(16) | c << _U64(24))
-    z = d == 0
-    z2 = z & z[:, None]
-    z3 = z2 & z[:, None, None]
-    tz4 = z.astype(np.int8) + z2 + z3 + (z3 & z[:, None, None, None])
-    return dig4.ravel(), tz4.ravel()
+    trailing zero digits of g (4 for 0)."""
+    digits = np.arange(48, 58, dtype=np.uint8)
+    grid = np.zeros((10, 10, 10, 10, 8), dtype=np.uint8)
+    grid[..., 0] = digits[:, None, None, None]
+    grid[..., 1] = digits[:, None, None]
+    grid[..., 2] = digits[:, None]
+    grid[..., 3] = digits
+    zero = np.arange(100) == 0
+    tz2 = np.where(zero, 2, np.arange(100) % 10 == 0)     # of 00..99
+    tz4 = tz2 + zero * tz2[:, None]                        # of a * 100 + b
+    return grid.reshape(-1).view("<u8").astype(_U64), tz4.ravel()
 
 
-def _word(text: str) -> int:
-    return int.from_bytes(text.encode("ascii"), "little")
-
-
-def _exponent_layout(dig4):
+def _exponent_layout():
     """By exponent: %g's form, the '.' position, the prefix and the suffix."""
-    x = np.arange(E_MIN, E_MAX + 1)
-    expo = (x < -4) | (x > 16)                # d.ddde+XX
-    small = ~expo & (x < 0)                   # 0.000ddd: "0." and zeros lead
-    zeros = np.where(small, -x - 1, 0)
-    # '.' after this many digits; 0 for "after the last significant digit"
-    point = np.where(expo, 1, np.where(small, 0, x + 1))
-    lead_zeros = _word("000") & ((1 << 8 * zeros) - 1)
-    prefix = np.where(small, _word("0.") | lead_zeros << 16, 0)
-    wide = np.abs(x) >= 100                   # three exponent digits
-    exp_digits = dig4[np.abs(x)] >> np.where(wide, _U64(8), _U64(16))
-    suffix = np.where(expo, _word("e") | np.where(x < 0, _word("-"), _word("+")) << 8
-                      | exp_digits.astype(np.int64) << 16, 0)
-    return (point, prefix.astype(_U64), np.where(small, 2 + zeros, 0),
-            suffix.astype(_U64), np.where(expo, np.where(wide, 5, 4), 0).astype(_U64))
+    point, prefix, suffix = [], [], []
+    for x in range(E_MIN, E_MAX + 1):
+        if x < -4 or x > 16:                  # d.ddde+XX
+            point.append(1)
+            prefix.append(b"")
+            suffix.append(b"e%+03d" % x)
+        elif x < 0:                           # 0.000ddd: '.' after the digits
+            point.append(0)
+            prefix.append(b"0." + b"0" * (-x - 1))
+            suffix.append(b"")
+        else:
+            point.append(x + 1)
+            prefix.append(b"")
+            suffix.append(b"")
+    words = [int.from_bytes(t, "little") for t in prefix + suffix]
+    lengths = [len(t) for t in prefix + suffix]
+    n = len(point)
+    return (np.array(point), np.array(words[:n], dtype=_U64), np.array(lengths[:n]),
+            np.array(words[n:], dtype=_U64), np.array(lengths[n:], dtype=_U64))
 
 
 def _digit_masks():
     """Per word of the digit part, by k ('.' after k digits) and, at
     k * 19 + ld, by the part's length ld: the digits kept in place, the
     digits moved one byte up past the '.', and the '.' itself."""
-    n = np.arange(25)
-    ones = np.full(25, 2 ** 64 - 1, _U64)
-    low = [~(ones << (8 * np.clip(n - 8 * w, 0, 8)).astype(_U64)) for w in range(3)]
-    k = np.arange(18)[:, None]
-    ld = np.arange(19)[None, :]
-    return ([lw[:18] for lw in low],
-            [(~lw[k + 1] & lw[ld]).ravel() for lw in low],
-            [(_DOTS & (lw[k + 1] ^ lw[k]) & lw[ld]).ravel() for lw in low])
+    pairs = [(k, ld) for k in range(18) for ld in range(19)]
+    keep, move, dot = [], [], []
+    for w in range(3):
+        # low[n]: bytes [0, n) of the string, those in word w
+        low = [(1 << 8 * min(max(n - 8 * w, 0), 8)) - 1 for n in range(20)]
+        keep.append(np.array(low[:18], dtype=_U64))
+        move.append(np.array([low[ld] & ~low[k + 1] for k, ld in pairs], dtype=_U64))
+        dot.append(np.array([0x2E2E_2E2E_2E2E_2E2E & low[ld] & (low[k + 1] - low[k])
+                             for k, ld in pairs], dtype=_U64))
+    return keep, move, dot
 
 
 # The tables are allocated at import, while the heap is still small, and
-# filled by the first call.  Allocated later, they would lie among the freed
-# matrices of an analyze call and keep that space from the next call's
-# (peak RSS 100 MB instead of 87 MB over repeated calls); filled at import,
-# they would page in about 0.6 MB of numpy's code before analyze's peak.
+# filled by the first call, so that only a run that writes CSV computes them.
+# Allocated later, they would lie among the freed matrices of an analyze call
+# and keep that space from the next call's (peak RSS 100 MB instead of 87 MB
+# over repeated calls).  They are built mostly from Python lists: numpy
+# routines that the formatter itself does not use would page in their code,
+# about 0.3 MB of resident memory.
 _N_EXP = E_MAX - E_MIN + 1
 _POW_HI, _POW_LO = np.empty(_N_EXP), np.empty(_N_EXP)
-_DIG4, _TZ4 = np.empty(10000, _U64), np.empty(10000, np.int8)
+_DIG4, _TZ4 = np.empty(10000, _U64), np.empty(10000, np.int64)
 _POINT, _PREFIX_LEN = np.empty(_N_EXP, np.int64), np.empty(_N_EXP, np.int64)
 _PREFIX, _SUFFIX, _SUFFIX_LEN = (np.empty(_N_EXP, _U64) for _ in range(3))
 _KEEP = [np.empty(18, _U64) for _ in range(3)]
@@ -160,13 +161,14 @@ _filled = False
 
 
 def _fill_tables() -> None:
+    """Compute the tables into the arrays reserved for them."""
     global _filled
     tables = ((_POW_HI, _POW_LO), _powers_of_ten()), ((_DIG4, _TZ4), _digit_groups())
     for dsts, srcs in tables:
         for dst, src in zip(dsts, srcs):
             dst[...] = src
     layout = (_POINT, _PREFIX, _PREFIX_LEN, _SUFFIX, _SUFFIX_LEN)
-    for dst, src in zip(layout, _exponent_layout(_DIG4)):
+    for dst, src in zip(layout, _exponent_layout()):
         dst[...] = src
     for dsts, srcs in zip((_KEEP, _MOVE, _DOT), _digit_masks()):
         for dst, src in zip(dsts, srcs):
@@ -180,7 +182,7 @@ def _significands(ax: np.ndarray):
     zero = ax == 0
     j = np.floor(np.log10(ax + zero)).astype(np.int64)   # log10(1) = 0 for 0
     j -= E_MIN
-    ok = j.view(_U64) < _U64(E_MAX - E_MIN + 1)
+    ok = j.view(_U64) < _U64(_N_EXP)
     ph = _POW_HI.take(j, mode="clip")
     p = ax * ph
     err = _two_product(ax, ph, p)
@@ -223,7 +225,7 @@ def _digit_words(d: np.ndarray):
         more = _TZ4.take(g.take(sel))
         tz[sel] += more
         sel = sel[more == 4]
-    return words, 17 - tz.astype(np.int64)
+    return words, 17 - tz
 
 
 def _layout(words, nd, j, neg, seps):

@@ -14,8 +14,8 @@ from .errors import InputFormatError
 from .signal_model import SampledSignal, TrigPolynomial, TWO_PI
 
 # _write_rows formats this many values at a time: its arrays of 8-byte
-# values stay below glibc's 128 KiB mmap threshold, and its transients near
-# 1 MB
+# values stay below glibc's 128 KiB mmap threshold, and its transients
+# under 2 MB
 _CSV_CHUNK_VALUES = 8192
 
 
