@@ -112,7 +112,7 @@ def _exponent_layout():
             point.append(1)
             prefix.append(b"")
             suffix.append(b"e%+03d" % x)
-        elif x < 0:                           # 0.000ddd: '.' after the digits
+        elif x < 0:                           # 0.000ddd: "0." leads, no '.' later
             point.append(0)
             prefix.append(b"0." + b"0" * (-x - 1))
             suffix.append(b"")
