@@ -77,7 +77,7 @@ def _write_rows(fh, table: np.ndarray) -> None:
 def write_signal_csv(signal: SampledSignal, path) -> None:
     """The read_signal_csv format, samples printed with 17 significant digits."""
     with open(path, "wb") as fh:
-        fh.write(b"sample_rate,%.17g\n" % signal.sample_rate)
+        fh.write(f"sample_rate,{signal.sample_rate:.17g}\n".encode("ascii"))
         _write_rows(fh, signal.samples[:, None])
 
 
