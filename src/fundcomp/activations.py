@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ZeroSignal
-from .signal_model import SampledSignal
 
 # |x| may exceed 1 by float rounding when normalized by an estimated sup-norm;
 # overshoot up to this much is clamped, anything larger is a domain error.
@@ -77,22 +76,16 @@ def h_eps(x, epsilon: float):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def apply(spec: ActivationSpec, signal: SampledSignal,
-          norm: float | None = None) -> SampledSignal:
-    """Apply an activation per sample, preserving rate and start time.
+def apply(spec: ActivationSpec, x: np.ndarray) -> np.ndarray:
+    """Apply an activation pointwise to the samples x (one signal per row).
 
-    For the adaptive reciprocal, `norm` is the normalization of the input
-    (defaults to the sample max); inject the analytic sup-norm when available.
+    The adaptive reciprocal normalizes each row by its own max |x|.
     """
-    x = signal.samples
     if spec.kind == ABS:
-        y = np.abs(x)
-    elif spec.kind == RELU:
-        y = np.maximum(x, 0.0)
-    else:
-        if norm is None:
-            norm = float(np.max(np.abs(x)))
-        if norm <= 0.0:
-            raise ZeroSignal("adaptive reciprocal needs a nonzero normalization")
-        y = h_eps(x / norm, spec.epsilon)
-    return SampledSignal(y, signal.sample_rate, signal.start_time)
+        return np.abs(x)
+    if spec.kind == RELU:
+        return np.maximum(x, 0.0)
+    norm = np.max(np.abs(x), axis=-1, keepdims=True)
+    if np.any(norm <= 0.0):
+        raise ZeroSignal("adaptive reciprocal needs a nonzero normalization")
+    return h_eps(x / norm, spec.epsilon)

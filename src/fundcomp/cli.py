@@ -12,11 +12,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, activations, experiments, io, spectral, theory
 from .activations import ActivationSpec
 from .errors import FundcompError, InputFormatError
+from .signal_model import SampledSignal
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -84,15 +83,24 @@ def _parse_half_width(text: str) -> float:
     return value
 
 
-def _parse_positive_int(text: str) -> int:
-    """Integer options that count something: at least 1."""
+def _parse_int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
     return value
+
+
+def _parse_positive_int(text: str) -> int:
+    """Integer options that count something: at least 1."""
+    return _parse_int_at_least(text, 1, "positive")
+
+
+def _parse_seed(text: str) -> int:
+    """--seed: numpy's SeedSequence takes integers >= 0."""
+    return _parse_int_at_least(text, 0, "non-negative")
 
 
 def _parse_freqs(text: str) -> theory.FrequencySet:
@@ -112,16 +120,19 @@ def _parse_export(text: str) -> set[str]:
 
 
 def _parse_eps_ladder(text: str) -> list[float]:
-    """'1e-2,1e-3' -> at least 2 strictly decreasing epsilons in (0, 0.1]."""
+    """'1e-2,1e-3' -> at least 2 strictly decreasing epsilons in
+    [smallest normal float, 0.1]; below that 1/eps overflows."""
     try:
         ladder = [float(e) for e in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma list of numbers") from None
-    if len(ladder) < 2 or any(not 0.0 < e <= 0.1 for e in ladder) or any(
+    low = sys.float_info.min
+    if len(ladder) < 2 or any(not low <= e <= 0.1 for e in ladder) or any(
             b >= a for a, b in zip(ladder, ladder[1:])):
         raise argparse.ArgumentTypeError(
-            f"{text!r}: need at least 2 strictly decreasing values in (0, 0.1]")
+            f"{text!r}: need at least 2 strictly decreasing values in "
+            f"[{low:g}, 0.1]")
     return ladder
 
 
@@ -134,14 +145,15 @@ def cmd_analyze(args) -> int:
         window, 1 << (window - 1).bit_length())
     spec = _parse_activation(args.activation, args.epsilon)
 
-    activated = activations.apply(spec, signal)
+    activated = SampledSignal(activations.apply(spec, signal.samples), rate,
+                              signal.start_time)
     spectrum = spectral.dft(activated)
     spg = spectral.stft(activated, window, hop, fft_length)
     max_bin = min(256, len(spectrum.bins) - 1)
     # half a bin apart always reaches a bin (band_energy_ratio)
     half_width = args.half_width if args.half_width else max(
         0.2, spg.freq_step / 2)
-    ratio = spectral.fundamental_energy_ratio(spectrum, 1, max_bin)
+    ratio = spectral.fundamental_energy_ratio(spectrum.bins, 1, max_bin)
 
     report = {
         "activation": spec.label,
@@ -278,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-ladder", type=_parse_eps_ladder,
                    default="1e-2,1e-3,1e-4,1e-5",
                    help="comma list of at least 2 strictly decreasing values "
-                        "in (0, 0.1]")
+                        "in [2.2e-308, 0.1]")
     p.add_argument("--out", default=None, help="JSONL report path (default stdout)")
     p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("synth-bench", help="run the synthetic benchmark")
     p.add_argument("--trials", type=_parse_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--activations", type=_parse_activation_list,
                    default=experiments.DEFAULT_ACTIVATIONS,
                    help="e.g. abs,relu,heps:0.2,heps:0.1,heps:0.05")

@@ -17,10 +17,6 @@ class DegenerateMaximum(FundcompError):
     """A global maximum of |f| has vanishing second derivative."""
 
 
-class EmptySupport(FundcompError):
-    """No spectral bin exceeds the significance threshold."""
-
-
 class DomainError(FundcompError):
     """Activation argument outside its admissible domain."""
 

@@ -17,14 +17,14 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import activations, spectral
 from .activations import ActivationSpec
-from .errors import RejectionOverflow, ZeroDenominator, ZeroSignal
-from .signal_model import SampledSignal, TrigPolynomial
+from .errors import RejectionOverflow
+from .signal_model import TrigPolynomial
 
 RNG_ID = "numpy-pcg64/seedseq((master_seed, trial_index))"
 MAX_GCD_RESAMPLES = 10_000
@@ -152,30 +152,6 @@ def generate_synthetic(rng: np.random.Generator, *, k_min: int = 5,
     return TrigPolynomial(terms, period=1.0, real_cosine_form=True)
 
 
-def _activate(spec: ActivationSpec, x: np.ndarray) -> np.ndarray:
-    """`activations.apply` on each row of x, h_eps normalized by the row's max |x|."""
-    if spec.kind == activations.ABS:
-        return np.abs(x)
-    if spec.kind == activations.RELU:
-        return np.maximum(x, 0.0)
-    norm = np.max(np.abs(x), axis=1, keepdims=True)
-    if np.any(norm <= 0.0):
-        raise ZeroSignal("adaptive reciprocal needs a nonzero normalization")
-    return activations.h_eps(x / norm, spec.epsilon)
-
-
-def _fundamental_ratios(y: np.ndarray, max_bin: int) -> np.ndarray:
-    """`spectral.fundamental_energy_ratio` (bin 1 over bins 1..max_bin) per row.
-
-    The DFT's 2/N scaling cancels in the ratio, so raw rFFT bins serve.
-    """
-    power = np.abs(np.fft.rfft(y, axis=1)[:, 1:max_bin + 1]) ** 2
-    denom = np.sum(power, axis=1)
-    if np.any(denom == 0.0):
-        raise ZeroDenominator("no energy in bins 1..max_bin")
-    return power[:, 0] / denom
-
-
 def block_ratios(config: SynthConfig, indices) -> np.ndarray:
     """Energy ratios of the trials `indices`: one row per trial, one column
     per configured activation.
@@ -200,8 +176,8 @@ def block_ratios(config: SynthConfig, indices) -> np.ndarray:
             spectrum[row, freqs] = coeffs * (n / 2)
         x = np.fft.irfft(spectrum, n=n, axis=1)
         for j, act in enumerate(config.activations):
-            out[start:start + len(block), j] = _fundamental_ratios(
-                _activate(act, x), max_bin)
+            out[start:start + len(block), j] = spectral.fundamental_energy_ratio(
+                np.fft.rfft(activations.apply(act, x), axis=1), 1, max_bin)
     return out
 
 
@@ -236,59 +212,6 @@ def run_trials(config: SynthConfig, *, first_trial: int = 0,
             histogram_counts=tuple(int(c) for c in counts),
             trials_run=len(indices))
     return stats
-
-
-def remove_fundamental(poly: TrigPolynomial) -> TrigPolynomial:
-    """Drop any term at frequency 1; polynomials without one pass through."""
-    kept = tuple((m, a) for m, a in poly.terms if m != 1)
-    if not kept:
-        raise ValueError("removing the fundamental leaves an empty polynomial")
-    if len(kept) == len(poly.terms):
-        return poly
-    return TrigPolynomial(kept, period=poly.period,
-                          real_cosine_form=poly.real_cosine_form)
-
-
-def remove_fundamental_sampled(signal: SampledSignal) -> SampledSignal:
-    """Zero DFT bins +-1 of a sampled signal and transform back."""
-    x = signal.samples
-    spec = np.fft.rfft(x)
-    spec[1] = 0.0
-    return SampledSignal(np.fft.irfft(spec, n=x.size), signal.sample_rate,
-                         signal.start_time)
-
-
-@dataclass(frozen=True)
-class EnhancementResult:
-    r_before: float
-    r_after: float
-    from_zero: bool
-    statistic: float | None  # log(r_after)/log(r_before); None when undefined
-
-    @property
-    def enhanced(self) -> bool:
-        if self.from_zero:
-            return self.r_after > 0.0
-        # both ratios are in (0, 1): a larger r_after has a smaller -log,
-        # so enhancement corresponds to a statistic below 1
-        return self.statistic is not None and self.statistic < 1.0
-
-
-def enhancement_ratio_pair(signal: SampledSignal, spec: ActivationSpec,
-                           max_bin: int = 256) -> EnhancementResult:
-    """Fundamental energy ratio before and after an activation."""
-    if float(np.max(np.abs(signal.samples))) == 0.0:
-        raise ZeroSignal("enhancement requires a nonzero input signal")
-    max_bin = min(max_bin, len(signal) // 2)
-    r_before = spectral.fundamental_energy_ratio(spectral.dft(signal), 1, max_bin)
-    activated = activations.apply(spec, signal)
-    r_after = spectral.fundamental_energy_ratio(spectral.dft(activated), 1, max_bin)
-    if r_before == 0.0:
-        return EnhancementResult(r_before, r_after, from_zero=True, statistic=None)
-    if r_after == 0.0 or r_before == 1.0:
-        return EnhancementResult(r_before, r_after, from_zero=False, statistic=None)
-    return EnhancementResult(r_before, r_after, from_zero=False,
-                             statistic=math.log(r_after) / math.log(r_before))
 
 
 def write_summary_json(stats: dict[str, TrialStats], config: SynthConfig, fh) -> None:

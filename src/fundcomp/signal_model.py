@@ -20,17 +20,12 @@ of p itself on the same grid, cross-checks that no maximum went unbracketed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    ConstantModulus,
-    DegenerateMaximum,
-    EmptySupport,
-    NyquistViolation,
-)
+from .errors import ConstantModulus, DegenerateMaximum, NyquistViolation
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,15 +72,6 @@ class TrigPolynomial:
 
     def frequency_gcd(self) -> int:
         return reduce(math.gcd, (m for m, _ in self.terms))
-
-    def scaled(self, c: complex) -> "TrigPolynomial":
-        if c == 0:
-            raise ValueError("scaling by zero annihilates the polynomial")
-        return TrigPolynomial(
-            tuple((m, c * a) for m, a in self.terms),
-            period=self.period,
-            real_cosine_form=self.real_cosine_form,
-        )
 
 
 @dataclass(frozen=True)
@@ -288,15 +274,6 @@ def _local_maxima(p: _ModulusSquared, period: float,
     return roots, pv, d2
 
 
-def sup_norm(poly: TrigPolynomial) -> float:
-    """max_t |f(t)|: the largest polished local maximum of p = |f|^2."""
-    p = _ModulusSquared(poly)
-    if p.is_constant:
-        return math.sqrt(max(float(p.pd[0].real), 0.0))
-    _, pv, _ = _local_maxima(p, poly.period, _scan_grid_size(poly))
-    return math.sqrt(max(float(pv.max()), 0.0))
-
-
 def find_global_maxima(poly: TrigPolynomial) -> PeakSet:
     """Locate all global maxima of g = |f| over one period.
 
@@ -336,25 +313,3 @@ def find_global_maxima(poly: TrigPolynomial) -> PeakSet:
             )
         peaks.append(Peak(location=t, value=g, second_derivative=g2))
     return PeakSet(peaks=tuple(peaks), sup_norm=sup, period=period)
-
-
-def support_gcd(coefficients, threshold: float) -> int:
-    """gcd of {k >= 1 : |c_k| > threshold} for spectrum bins c_0..c_{N/2}."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    mags = np.abs(np.asarray(coefficients))
-    support = [k for k in range(1, len(mags)) if mags[k] > threshold]
-    if not support:
-        raise EmptySupport("no bin k >= 1 exceeds the threshold")
-    return reduce(math.gcd, support)
-
-
-def support_gcd_relative(coefficients, rel_threshold: float = 1e-6) -> int:
-    """support_gcd with the threshold a fraction of the largest bin (k >= 1)."""
-    mags = np.abs(np.asarray(coefficients))
-    if len(mags) < 2:
-        raise EmptySupport("spectrum has no bins above DC")
-    peak = float(np.max(mags[1:]))
-    if peak == 0.0:
-        raise EmptySupport("all bins above DC vanish")
-    return support_gcd(coefficients, rel_threshold * peak)

@@ -84,18 +84,25 @@ def dft(signal: SampledSignal) -> Spectrum:
     return Spectrum(bins=bins, bin_width=signal.sample_rate / n)
 
 
-def fundamental_energy_ratio(spectrum: Spectrum, fundamental_bin: int = 1,
-                             max_bin: int = 256) -> float:
-    """|c_fundamental|^2 / sum_{l=1..max_bin} |c_l|^2, DC excluded throughout."""
+def fundamental_energy_ratio(bins: np.ndarray, fundamental_bin: int = 1,
+                             max_bin: int = 256):
+    """|c_fundamental|^2 / sum_{l=1..max_bin} |c_l|^2 along the last axis of
+    the spectrum bins, DC excluded throughout.
+
+    The ratio does not depend on the bins' scale, so raw rFFT bins serve as
+    well as dft's.  A float for one spectrum, an array of one ratio per row
+    for a block of them.
+    """
     if fundamental_bin < 1 or max_bin < fundamental_bin:
         raise ValueError("need 1 <= fundamental_bin <= max_bin")
-    if max_bin >= len(spectrum.bins):
+    if max_bin >= bins.shape[-1]:
         raise ValueError("max_bin beyond the highest spectrum bin")
-    mags2 = np.abs(spectrum.bins[1:max_bin + 1]) ** 2
-    denom = float(np.sum(mags2))
-    if denom == 0.0:
+    mags2 = np.abs(bins[..., 1:max_bin + 1]) ** 2
+    denom = np.sum(mags2, axis=-1)
+    if np.any(denom == 0.0):
         raise ZeroDenominator("no energy in bins 1..max_bin")
-    return float(mags2[fundamental_bin - 1]) / denom
+    ratio = mags2[..., fundamental_bin - 1] / denom
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def gaussian_window(length: int) -> np.ndarray:

@@ -5,11 +5,6 @@ from hypothesis import strategies as st
 
 from fundcomp.activations import ActivationSpec, apply, h_eps
 from fundcomp.errors import DomainError, ZeroSignal
-from fundcomp.signal_model import SampledSignal
-
-
-def sig(values, rate=10.0, start=0.0):
-    return SampledSignal(np.array(values, dtype=float), rate, start)
 
 
 class TestSpec:
@@ -103,30 +98,30 @@ class TestHepsNearOne:
 
 class TestApply:
     def test_abs(self):
-        out = apply(ActivationSpec.abs(), sig([1, -2, 3]))
-        assert np.allclose(out.samples, [1, 2, 3])
+        out = apply(ActivationSpec.abs(), np.array([1.0, -2.0, 3.0]))
+        assert np.allclose(out, [1, 2, 3])
 
     def test_relu(self):
-        out = apply(ActivationSpec.relu(), sig([1, -2, 3]))
-        assert np.allclose(out.samples, [1, 0, 3])
-
-    def test_adaptive_with_norm(self):
-        out = apply(ActivationSpec.adaptive(0.5), sig([2, 0, -2]), norm=2.0)
-        assert np.allclose(out.samples, [2, 1, 2])
+        out = apply(ActivationSpec.relu(), np.array([1.0, -2.0, 3.0]))
+        assert np.allclose(out, [1, 0, 3])
 
     def test_adaptive_default_norm_is_sample_max(self):
-        out = apply(ActivationSpec.adaptive(0.5), sig([2, 0, -2]))
-        assert np.allclose(out.samples, [2, 1, 2])
+        out = apply(ActivationSpec.adaptive(0.5), np.array([2.0, 0.0, -2.0]))
+        assert np.allclose(out, [2, 1, 2])
 
     def test_zero_signal(self):
         with pytest.raises(ZeroSignal):
-            apply(ActivationSpec.adaptive(0.1), sig([0, 0, 0]))
+            apply(ActivationSpec.adaptive(0.1), np.zeros(3))
+        with pytest.raises(ZeroSignal):  # one zero row in a block
+            apply(ActivationSpec.adaptive(0.1), np.array([[1.0, -2.0], [0.0, 0.0]]))
 
-    def test_metadata_preserved(self):
-        s = sig([1.0, -1.0, 2.0], rate=44.5, start=0.25)
-        for spec in (ActivationSpec.abs(), ActivationSpec.relu(),
-                     ActivationSpec.adaptive(0.1)):
-            out = apply(spec, s)
-            assert len(out) == len(s)
-            assert out.sample_rate == s.sample_rate
-            assert out.start_time == s.start_time
+    @pytest.mark.parametrize("spec", [ActivationSpec.abs(), ActivationSpec.relu(),
+                                      ActivationSpec.adaptive(0.1)])
+    def test_block_matches_each_row(self, spec):
+        # each row is normalized by its own max |x|, as a 1-D signal is
+        x = np.random.default_rng(3).normal(size=(9, 512))
+        x[4] *= 1e-3
+        block = apply(spec, x)
+        assert block.shape == x.shape
+        for i in range(x.shape[0]):
+            assert np.array_equal(block[i], apply(spec, x[i]))

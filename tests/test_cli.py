@@ -345,7 +345,8 @@ class TestUsage:
         assert main(["synth-bench", "--activations", "tanh"]) == 2
 
     @pytest.mark.parametrize("ladder", ["1e-2,x", "1e-3,1e-2", "1e-2,1e-2",
-                                        "1e-2", "0.5,1e-2", "1e-2,0"])
+                                        "1e-2", "0.5,1e-2", "1e-2,0",
+                                        "0.1,5e-324"])
     def test_bad_eps_ladder(self, tmp_path, ladder):
         spec = tmp_path / "p.json"
         spec.write_text(json.dumps([{"m": 1, "re": 1.0}, {"m": 2, "re": 1.0}]))
@@ -405,6 +406,13 @@ class TestUsage:
         out = tmp_path / "out"
         assert main(["synth-bench", "--trials", "1", "--workers", workers,
                      "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_bad_seed(self, tmp_path, seed):
+        out = tmp_path / "out"
+        assert main(["synth-bench", "--trials", "2", "--workers", "1",
+                     "--seed", seed, "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_bad_workers_environment(self, tmp_path, monkeypatch):

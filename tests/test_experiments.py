@@ -5,18 +5,14 @@ import numpy as np
 import pytest
 
 from fundcomp.activations import ActivationSpec, apply
-from fundcomp.errors import ZeroSignal
 from fundcomp.experiments import (
     BLOCK_TRIALS,
     DEFAULT_ACTIVATIONS,
     SynthConfig,
     block_ratios,
     child_rng,
-    enhancement_ratio_pair,
     frequency_weights,
     generate_synthetic,
-    remove_fundamental,
-    remove_fundamental_sampled,
     run_trials,
 )
 from fundcomp.signal_model import SampledSignal, TrigPolynomial, sample
@@ -140,7 +136,8 @@ class TestBlockRatios:
         for i in range(20):
             signal = sample(generate_synthetic(child_rng(5, i)), 512, 1.0)
             expected.append([
-                fundamental_energy_ratio(dft(apply(spec, signal)), 1, 256)
+                fundamental_energy_ratio(dft(SampledSignal(
+                    apply(spec, signal.samples), 512)).bins, 1, 256)
                 for spec in cfg.activations])
         got = block_ratios(cfg, range(20))
         assert got.shape == (20, len(cfg.activations))
@@ -172,62 +169,27 @@ class TestBlockRatios:
             assert merged == full[label].histogram_counts
 
 
-class TestRemoveFundamental:
-    def test_drops_bin_one_term(self):
-        p = TrigPolynomial(((1, 1.0), (2, 1.0)), period=1.0, real_cosine_form=True)
-        out = remove_fundamental(p)
-        assert [m for m, _ in out.terms] == [2]
-
-    def test_untouched_without_fundamental(self):
-        p = TrigPolynomial(((2, 1.0), (5, 1.0)), period=1.0, real_cosine_form=True)
-        assert remove_fundamental(p) is p
-
-    def test_only_fundamental_rejected(self):
-        with pytest.raises(ValueError):
-            remove_fundamental(TrigPolynomial(((1, 1.0),)))
-
-    def test_sampled_zeroes_only_bin_one(self):
-        p = TrigPolynomial(((1, 1.0), (3, 1 / 3), (5, 1 / 5)),
-                           period=1.0, real_cosine_form=True)
-        s = sample(p, 64, 1.0)
-        before = dft(s).bins
-        after = dft(remove_fundamental_sampled(s)).bins
-        assert abs(after[1]) < 1e-10
-        mask = np.ones(len(before), dtype=bool)
-        mask[1] = False
-        assert np.allclose(after[mask], before[mask], atol=1e-10)
-
-
 class TestEnhancementPair:
+    """The fundamental's energy share before and after an activation, by the
+    kernels block_ratios runs: apply, rFFT, fundamental_energy_ratio."""
+
+    def _pair(self, poly, spec):
+        x = sample(poly, 512, 1.0).samples
+        return (fundamental_energy_ratio(np.fft.rfft(x), 1, 256),
+                fundamental_energy_ratio(np.fft.rfft(apply(spec, x)), 1, 256))
+
     def test_pure_cosine_with_abs(self):
         p = TrigPolynomial(((1, 1.0),), period=1.0, real_cosine_form=True)
-        res = enhancement_ratio_pair(sample(p, 512, 1.0), ActivationSpec.abs())
-        assert res.r_before == pytest.approx(1.0)
-        assert res.r_after < 1.0
+        r_before, r_after = self._pair(p, ActivationSpec.abs())
+        assert r_before == pytest.approx(1.0)
+        assert r_after < 1.0
 
     def test_rectifying_two_tone_boosts_missing_fundamental(self):
         # frequencies {2,3}: essentially no bin-1 energy before, some after
         p = TrigPolynomial(((2, 1.0), (3, 0.5)), period=1.0, real_cosine_form=True)
-        res = enhancement_ratio_pair(sample(p, 512, 1.0), ActivationSpec.abs())
-        assert res.r_before < 1e-20
-        assert res.r_after > 1e-6
-        if not res.from_zero:
-            assert res.statistic is not None and res.statistic < 1.0
-            assert res.enhanced
-
-    def test_zero_signal_guard(self):
-        with pytest.raises(ZeroSignal):
-            enhancement_ratio_pair(SampledSignal(np.zeros(16), 16.0),
-                                   ActivationSpec.adaptive(0.1))
-
-    def test_from_zero_category(self):
-        from fundcomp.experiments import EnhancementResult
-        res = EnhancementResult(r_before=0.0, r_after=0.3,
-                                from_zero=True, statistic=None)
-        assert res.enhanced
-        res = EnhancementResult(r_before=0.0, r_after=0.0,
-                                from_zero=True, statistic=None)
-        assert not res.enhanced
+        r_before, r_after = self._pair(p, ActivationSpec.abs())
+        assert r_before < 1e-20
+        assert r_after > 1e-6
 
 
 class TestDefaultActivations:

@@ -6,20 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fundcomp import signal_model
-from fundcomp.errors import (
-    ConstantModulus,
-    EmptySupport,
-    NyquistViolation,
-)
+from fundcomp.errors import ConstantModulus, NyquistViolation
 from fundcomp.signal_model import (
     TWO_PI,
     TrigPolynomial,
     evaluate,
     find_global_maxima,
     sample,
-    sup_norm,
-    support_gcd,
-    support_gcd_relative,
 )
 
 
@@ -114,11 +107,9 @@ class TestSample:
 
 
 class TestSupNorm:
-    def test_single_exponential(self):
-        assert sup_norm(TrigPolynomial(((1, 1 + 0j),))) == pytest.approx(1.0)
-
     def test_aligned_pair(self):
-        assert sup_norm(TrigPolynomial(((1, 1 + 0j), (2, 1 + 0j)))) == pytest.approx(2.0)
+        p = TrigPolynomial(((1, 1 + 0j), (2, 1 + 0j)))
+        assert find_global_maxima(p).sup_norm == pytest.approx(2.0)
 
     def test_gcd3_against_fine_grid(self):
         p = gcd3_poly()
@@ -126,7 +117,7 @@ class TestSupNorm:
         for chunk in range(10):
             t = (np.arange(10 ** 6) + chunk * 10 ** 6) / 10 ** 7
             best = max(best, float(np.max(np.abs(evaluate(p, t)))))
-        assert sup_norm(p) == pytest.approx(best, abs=1e-8)
+        assert find_global_maxima(p).sup_norm == pytest.approx(best, abs=1e-8)
 
     @given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
                               allow_infinity=False, allow_nan=False),
@@ -137,7 +128,9 @@ class TestSupNorm:
         terms = tuple((int(m), complex(*rng.normal(size=2)))
                       for m in rng.choice(np.arange(1, 12), 3, replace=False))
         p = TrigPolynomial(terms)
-        assert sup_norm(p.scaled(c)) == pytest.approx(abs(c) * sup_norm(p), rel=1e-9)
+        scaled = TrigPolynomial(tuple((m, c * a) for m, a in terms))
+        assert find_global_maxima(scaled).sup_norm == pytest.approx(
+            abs(c) * find_global_maxima(p).sup_norm, rel=1e-9)
 
 
 class TestFindGlobalMaxima:
@@ -252,8 +245,6 @@ class TestRootsOracle:
         monkeypatch.setattr(signal_model, "_critical_points", missing_top)
         with pytest.raises(ConstantModulus, match="no non-degenerate maxima"):
             find_global_maxima(poly)
-        with pytest.raises(ConstantModulus, match="no non-degenerate maxima"):
-            sup_norm(poly)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sup_norm_is_the_peak_value(self, seed):
@@ -262,44 +253,40 @@ class TestRootsOracle:
         poly = TrigPolynomial(tuple((int(m), complex(*rng.normal(size=2)))
                                     for m in freqs),
                               real_cosine_form=bool(seed % 2))
-        assert sup_norm(poly) == find_global_maxima(poly).sup_norm
+        ps = find_global_maxima(poly)
+        assert ps.sup_norm == max(pk.value for pk in ps.peaks)
+        # |f| sampled 1e-7 periods apart around the top peak
+        top = max(ps.peaks, key=lambda pk: pk.value)
+        t = top.location + poly.period * 1e-7 * np.arange(-1000, 1001)
+        assert ps.sup_norm == pytest.approx(np.max(np.abs(evaluate(poly, t))),
+                                            rel=1e-9)
 
 
 class TestSupportGcd:
-    def _bins(self, hot, n=40):
-        c = np.zeros(n, dtype=complex)
-        for k in hot:
-            c[k] = 1.0
-        return c
+    """gcd of the frequency support, as theory.gcd_reduction_check reads it."""
+
+    def _poly(self, support):
+        return TrigPolynomial(tuple((k, 1.0) for k in sorted(support)),
+                              period=1.0, real_cosine_form=True)
 
     def test_gcd3_support(self):
-        assert support_gcd(self._bins({6, 9, 33}), 0.5) == 3
+        assert self._poly({6, 9, 33}).frequency_gcd() == 3
 
     def test_singleton(self):
-        assert support_gcd(self._bins({5}), 0.5) == 5
+        assert self._poly({5}).frequency_gcd() == 5
 
     def test_coprime(self):
-        assert support_gcd(self._bins({2, 3}), 0.5) == 1
-
-    def test_empty_support(self):
-        with pytest.raises(EmptySupport):
-            support_gcd(self._bins(set()), 0.5)
-
-    def test_relative_wrapper(self):
-        c = self._bins({6, 9})
-        c[1] = 1e-9  # below relative threshold
-        assert support_gcd_relative(c) == 3
+        assert self._poly({2, 3}).frequency_gcd() == 1
 
     @given(st.sets(st.integers(1, 30), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
-    def test_matches_euclid_fold(self, hot):
-        c = self._bins(hot, n=40)
-        got = support_gcd(c, 0.5)
+    def test_matches_euclid_fold(self, support):
+        got = self._poly(support).frequency_gcd()
         expected = 0
-        for k in sorted(hot):
+        for k in sorted(support):
             expected = math.gcd(expected, k)
         assert got == expected
-        assert all(k % got == 0 for k in hot)
+        assert all(k % got == 0 for k in support)
 
 
 class TestRoundTrip:

@@ -85,7 +85,7 @@ class TestDft:
 
     def test_abs_activation_spectrum_vs_oracle(self):
         s = cosine_signal(3, 256, 1.0)
-        rectified = apply(ActivationSpec.abs(), s)
+        rectified = SampledSignal(apply(ActivationSpec.abs(), s.samples), 256.0)
         assert np.allclose(dft(rectified).bins, direct_dft(rectified), atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(100))
@@ -105,34 +105,50 @@ class TestDft:
 class TestEnergyRatio:
     def test_pure_fundamental(self):
         spec = dft(cosine_signal(1, 512, 1.0))
-        assert fundamental_energy_ratio(spec) == pytest.approx(1.0)
+        r = fundamental_energy_ratio(spec.bins)
+        assert type(r) is float  # one spectrum, one float
+        assert r == pytest.approx(1.0)
 
     def test_no_fundamental(self):
         spec = dft(cosine_signal(2, 512, 1.0))
-        assert fundamental_energy_ratio(spec) == pytest.approx(0.0, abs=1e-20)
+        assert fundamental_energy_ratio(spec.bins) == pytest.approx(0.0, abs=1e-20)
 
     def test_abs_cosine_even_harmonics(self):
         # |cos| is half-period periodic: only even harmonics survive
-        rectified = apply(ActivationSpec.abs(), cosine_signal(1, 512, 1.0))
-        spec = dft(rectified)
-        assert fundamental_energy_ratio(spec, 1, 256) < 1e-20
-        assert fundamental_energy_ratio(spec, 2, 256) > 0.9
+        rectified = apply(ActivationSpec.abs(), cosine_signal(1, 512, 1.0).samples)
+        bins = dft(SampledSignal(rectified, 512.0)).bins
+        assert fundamental_energy_ratio(bins, 1, 256) < 1e-20
+        assert fundamental_energy_ratio(bins, 2, 256) > 0.9
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=256)
-        r1 = fundamental_energy_ratio(dft(SampledSignal(x, 256.0)), 1, 100)
-        r2 = fundamental_energy_ratio(dft(SampledSignal(-3.7 * x, 256.0)), 1, 100)
+        r1 = fundamental_energy_ratio(dft(SampledSignal(x, 256.0)).bins, 1, 100)
+        r2 = fundamental_energy_ratio(dft(SampledSignal(-3.7 * x, 256.0)).bins, 1, 100)
         assert r1 == pytest.approx(r2, rel=1e-12)
+        # so raw rFFT bins give dft's ratio
+        assert fundamental_energy_ratio(np.fft.rfft(x), 1, 100) == pytest.approx(
+            r1, rel=1e-12)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
-            fundamental_energy_ratio(dft(SampledSignal(np.zeros(64), 64.0)), 1, 16)
+            fundamental_energy_ratio(dft(SampledSignal(np.zeros(64), 64.0)).bins, 1, 16)
+        block = np.fft.rfft(np.vstack([np.cos(np.arange(64.0)), np.zeros(64)]), axis=1)
+        with pytest.raises(ZeroDenominator):  # one silent row in a block
+            fundamental_energy_ratio(block, 1, 16)
 
     def test_max_bin_bounds(self):
         spec = dft(cosine_signal(1, 64, 1.0))
         with pytest.raises(ValueError):
-            fundamental_energy_ratio(spec, 1, 33)  # only bins 0..32 exist
+            fundamental_energy_ratio(spec.bins, 1, 33)  # only bins 0..32 exist
+
+    @pytest.mark.parametrize("fundamental_bin,max_bin", [(1, 256), (3, 100)])
+    def test_block_matches_each_row(self, fundamental_bin, max_bin):
+        bins = np.fft.rfft(np.random.default_rng(8).normal(size=(33, 512)), axis=1)
+        block = fundamental_energy_ratio(bins, fundamental_bin, max_bin)
+        assert block.shape == (33,)
+        rows = [fundamental_energy_ratio(r, fundamental_bin, max_bin) for r in bins]
+        assert np.array_equal(block, rows)
 
 
 class TestStft:
