@@ -12,6 +12,14 @@ from .errors import DomainError, ZeroSignal
 # overshoot up to this much is clamped, anything larger is a domain error.
 OVERSHOOT_TOL = 1e-9
 
+# Smallest epsilon an ActivationSpec takes.  h_eps <= 1/eps, so an rFFT of an
+# activated signal has |X|^2 <= (n/eps)^2, and the largest sum any output
+# holds, analyze's band-ratio denominator over the whole STFT, is at most
+# frames * fft_length * window / eps^2 (Parseval per frame).  With each of
+# those three below 2^53 this stays below the largest double (1.8e308) for
+# eps >= 6.4e-131; this is the smallest power of ten above that.
+EPSILON_MIN = 1e-130
+
 ABS = "abs"
 RELU = "relu"
 ADAPTIVE_RECIPROCAL = "heps"
@@ -28,8 +36,9 @@ class ActivationSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
         if self.kind == ADAPTIVE_RECIPROCAL:
-            if self.epsilon is None or not 0.0 < self.epsilon < 1.0:
-                raise ValueError("heps requires epsilon in (0, 1)")
+            if self.epsilon is None or not EPSILON_MIN <= self.epsilon < 1.0:
+                raise ValueError(
+                    f"heps requires epsilon in [{EPSILON_MIN:g}, 1)")
         elif self.epsilon is not None:
             raise ValueError(f"{self.kind} takes no epsilon")
 

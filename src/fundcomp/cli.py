@@ -54,7 +54,11 @@ def _parse_activation_list(text: str) -> tuple[ActivationSpec, ...]:
         if item in ("abs", "relu"):
             specs.append(ActivationSpec(item))
         elif item.startswith("heps:"):
-            specs.append(ActivationSpec.adaptive(float(item.split(":", 1)[1])))
+            try:
+                eps = float(item.split(":", 1)[1])
+                specs.append(ActivationSpec.adaptive(eps))
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(f"{item!r}: {exc}") from None
         else:
             raise argparse.ArgumentTypeError(
                 f"unknown activation {item!r} (use abs, relu, heps:EPS)")
@@ -62,13 +66,15 @@ def _parse_activation_list(text: str) -> tuple[ActivationSpec, ...]:
 
 
 def _parse_epsilon(text: str) -> float:
-    """--epsilon: h_eps needs 0 < eps < 1."""
+    """--epsilon: h_eps needs eps < 1, and every output stays finite from
+    activations.EPSILON_MIN on."""
     try:
         eps = float(text)
     except ValueError:
         eps = float("nan")
-    if not 0.0 < eps < 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1)")
+    if not activations.EPSILON_MIN <= eps < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a number in [{activations.EPSILON_MIN:g}, 1)")
     return eps
 
 

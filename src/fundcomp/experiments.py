@@ -72,6 +72,8 @@ class SynthConfig:
                              "(samples per 1 s period)")
         if self.freq_max >= self.sample_rate / 2:
             raise ValueError("freq_max must lie below sample_rate / 2")
+        _sampling_pool(self.freq_min, self.freq_max, self.density_scale,
+                       self.k_max)
         object.__setattr__(self, "activations", tuple(self.activations))
 
     def as_dict(self) -> dict:
@@ -117,22 +119,83 @@ def frequency_weights(freq_min: int, freq_max: int,
     return pool, w / w.sum()
 
 
-def _draw_trial(rng: np.random.Generator, pool: np.ndarray, probs: np.ndarray,
-                k_min: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies (in draw order) and complex amplitudes of one trial.
+def _sampling_pool(freq_min: int, freq_max: int, density_scale: float,
+                   k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """frequency_weights, checked to hold k_max frequencies of nonzero weight,
+    so that a draw without replacement can always finish."""
+    pool, probs = frequency_weights(freq_min, freq_max, density_scale)
+    drawable = int(np.count_nonzero(probs > 0))
+    if k_max > drawable:
+        raise ValueError(
+            f"k_max = {k_max} exceeds the {drawable} frequencies of nonzero "
+            f"weight in [{freq_min}, {freq_max}]")
+    return pool, probs
 
-    The calls on `rng` and their order are the reproducibility contract.
+
+def _draw_trials(rngs, pool: np.ndarray, probs: np.ndarray, k_min: int,
+                 k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, frequency and complex amplitude of every term of one trial per
+    generator in `rngs`: trial by trial, each in draw order.
+
+    The calls on each generator and their order are the reproducibility
+    contract, and they are those of drawing the trial alone:
+    `integers(k_min, k_max + 1)` for K; then K distinct frequencies by
+    `Generator.choice(pool, K, replace=False, p=probs)`, whose rejection loop
+    is replayed here, one `random(K - found)` per round; again from fresh
+    weights while their gcd is not 1; then `random(2K)`, whose halves are the
+    amplitudes' and the phases' uniforms.  The trials still drawing share
+    each round: one cumsum over their weight rows and one first-occurrence
+    unique over their (row, bin) keys.  `tests/test_experiments.py` holds this
+    to `rng.choice` itself.
     """
-    k = int(rng.integers(k_min, k_max + 1))
-    for _ in range(MAX_GCD_RESAMPLES):
-        freqs = rng.choice(pool, size=k, replace=False, p=probs)
-        if math.gcd(*freqs.tolist()) == 1:
-            break
-    else:
-        raise RejectionOverflow("could not draw a gcd-1 frequency set")
-    amps = 1.0 - rng.random(k)            # (0, 1]
-    phases = 2.0 * math.pi * (1.0 - rng.random(k))  # (0, 2 pi]
-    return freqs, amps * np.exp(1j * phases)
+    n, size = len(rngs), pool.size
+    ks = np.array([rng.integers(k_min, k_max + 1) for rng in rngs])
+    weights = np.tile(probs, (n, 1))
+    found = np.zeros((n, k_max), dtype=pool.dtype)   # 0 pads the gcd
+    n_found = np.zeros(n, dtype=np.intp)
+    sets = np.zeros(n, dtype=np.intp)
+    uniforms = [None] * n
+    active = np.arange(n)
+    while active.size:
+        need = ks[active] - n_found[active]
+        # choice's round: the found bins' weights are zero, the cdf is
+        # normalized by its last entry, and each new bin counts at its
+        # first occurrence, in draw order
+        cdf = np.cumsum(weights[active], axis=1)
+        cdf /= cdf[:, -1:]
+        picks = np.concatenate([
+            row.searchsorted(rngs[i].random(m), side="right")
+            for row, i, m in zip(cdf, active.tolist(), need.tolist())])
+        keys = np.repeat(np.arange(active.size) * size, need) + picks
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        rows, bins = np.divmod(keys[first], size)
+        counts = np.bincount(rows, minlength=active.size)
+        trials = active[rows]
+        # a new bin's slot: its trial's earlier finds plus its rank this round
+        slots = n_found[trials] + np.arange(rows.size) - np.repeat(
+            np.cumsum(counts) - counts, counts)
+        found[trials, slots] = pool[bins]
+        weights[trials, bins] = 0.0
+        n_found[active] += counts
+
+        done = active[n_found[active] == ks[active]]
+        sets[done] += 1
+        coprime = np.gcd.reduce(found[done], axis=1) == 1
+        for i in done[coprime].tolist():
+            uniforms[i] = rngs[i].random(2 * ks[i]).reshape(2, ks[i])
+        retry = done[~coprime]   # start again from fresh weights
+        if np.any(sets[retry] >= MAX_GCD_RESAMPLES):
+            raise RejectionOverflow("could not draw a gcd-1 frequency set")
+        n_found[retry] = 0
+        weights[retry] = probs
+        active = active[n_found[active] < ks[active]]
+
+    u = np.concatenate(uniforms, axis=1)
+    amps = 1.0 - u[0]                          # (0, 1]
+    phases = 2.0 * math.pi * (1.0 - u[1])      # (0, 2 pi]
+    freqs = found[np.arange(k_max) < ks[:, None]]
+    return np.repeat(np.arange(n), ks), freqs, amps * np.exp(1j * phases)
 
 
 def generate_synthetic(rng: np.random.Generator, *, k_min: int = 5,
@@ -143,10 +206,11 @@ def generate_synthetic(rng: np.random.Generator, *, k_min: int = 5,
     K ~ Uniform{k_min..k_max}; frequencies drawn without replacement from
     [freq_min, freq_max] with weights proportional to exp(-x^2 / (2 sigma^2)),
     sigma = density_scale (see `frequency_weights`), and rejection-resampled
-    until their gcd is 1; amplitudes in (0, 1], phases in (0, 2 pi].
+    until their gcd is 1; amplitudes in (0, 1], phases in (0, 2 pi].  The
+    draw is `block_ratios`'s, for a block of one trial.
     """
-    pool, probs = frequency_weights(freq_min, freq_max, density_scale)
-    freqs, coeffs = _draw_trial(rng, pool, probs, k_min, k_max)
+    pool, probs = _sampling_pool(freq_min, freq_max, density_scale, k_max)
+    _, freqs, coeffs = _draw_trials([rng], pool, probs, k_min, k_max)
     order = np.argsort(freqs)
     terms = tuple((int(freqs[i]), coeffs[i]) for i in order)
     return TrigPolynomial(terms, period=1.0, real_cosine_form=True)
@@ -162,18 +226,18 @@ def block_ratios(config: SynthConfig, indices) -> np.ndarray:
     trial index, never on the block it shares.
     """
     indices = list(indices)
-    pool, probs = frequency_weights(config.freq_min, config.freq_max,
-                                    config.density_scale)
+    pool, probs = _sampling_pool(config.freq_min, config.freq_max,
+                                 config.density_scale, config.k_max)
     n = int(config.sample_rate)
     max_bin = min(256, n // 2)
     out = np.empty((len(indices), len(config.activations)))
     for start in range(0, len(indices), BLOCK_TRIALS):
         block = indices[start:start + BLOCK_TRIALS]
+        rows, freqs, coeffs = _draw_trials(
+            [child_rng(config.master_seed, i) for i in block], pool, probs,
+            config.k_min, config.k_max)
         spectrum = np.zeros((len(block), n // 2 + 1), dtype=np.complex128)
-        for row, i in enumerate(block):
-            freqs, coeffs = _draw_trial(child_rng(config.master_seed, i), pool,
-                                        probs, config.k_min, config.k_max)
-            spectrum[row, freqs] = coeffs * (n / 2)
+        spectrum[rows, freqs] = coeffs * (n / 2)
         x = np.fft.irfft(spectrum, n=n, axis=1)
         for j, act in enumerate(config.activations):
             out[start:start + len(block), j] = spectral.fundamental_energy_ratio(

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fundcomp.activations import ActivationSpec, apply, h_eps
+from fundcomp.activations import (
+    EPSILON_MIN,
+    OVERSHOOT_TOL,
+    ActivationSpec,
+    apply,
+    h_eps,
+)
 from fundcomp.errors import DomainError, ZeroSignal
 
 
@@ -16,6 +22,12 @@ class TestSpec:
     def test_epsilon_range(self, eps):
         with pytest.raises(ValueError):
             ActivationSpec.adaptive(eps)
+
+    def test_epsilon_floor(self):
+        assert ActivationSpec.adaptive(EPSILON_MIN).epsilon == EPSILON_MIN
+        for eps in (np.nextafter(EPSILON_MIN, 0.0), 5e-324):
+            with pytest.raises(ValueError, match="epsilon"):
+                ActivationSpec.adaptive(float(eps))
 
     def test_abs_takes_no_epsilon(self):
         with pytest.raises(ValueError):
@@ -125,3 +137,19 @@ class TestApply:
         assert block.shape == x.shape
         for i in range(x.shape[0]):
             assert np.array_equal(block[i], apply(spec, x[i]))
+
+
+class TestInputsUntouched:
+    @pytest.mark.parametrize("spec", [ActivationSpec.abs(), ActivationSpec.relu(),
+                                      ActivationSpec.adaptive(0.1)])
+    def test_apply(self, spec):
+        x = np.random.default_rng(8).normal(size=(4, 256))
+        before = x.copy()
+        apply(spec, x)
+        assert np.array_equal(x, before)
+
+    def test_h_eps(self):
+        x = np.array([-1.0 - OVERSHOOT_TOL / 2, -0.5, 0.0, 0.75, 1.0])
+        before = x.copy()
+        h_eps(x, 0.1)
+        assert np.array_equal(x, before)

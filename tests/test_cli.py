@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import wave
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from fundcomp import io as fio
+from fundcomp.activations import EPSILON_MIN
 from fundcomp.cli import main
 from fundcomp.errors import InputFormatError
 from fundcomp.signal_model import SampledSignal, TrigPolynomial, sample
@@ -316,6 +318,62 @@ class TestSynthBench:
 
     def test_zero_trials_usage_error(self):
         assert main(["synth-bench", "--trials", "0"]) == 2
+
+
+class TestEpsilonFloor:
+    """Below activations.EPSILON_MIN h_eps could overflow an output, so the
+    CLI refuses it before writing anything; at the floor every output is
+    finite."""
+
+    BELOW = ["5e-324", repr(float(np.nextafter(EPSILON_MIN, 0.0)))]
+
+    @staticmethod
+    def assert_finite(out):
+        for path in out.iterdir():
+            if path.suffix == ".pgm":
+                continue
+            text = path.read_text()
+            assert not re.search(r"nan|inf", text, re.IGNORECASE), path.name
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=pytest.fail)
+
+    @pytest.mark.parametrize("eps", BELOW)
+    def test_analyze_below_floor(self, tmp_path, eps):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--epsilon", eps,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", BELOW)
+    def test_synth_bench_below_floor(self, tmp_path, eps):
+        out = tmp_path / "out"
+        assert main(["synth-bench", "--trials", "2", "--activations",
+                     f"abs,heps:{eps}", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_analyze_at_floor(self, tmp_path):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src, freq=2, rate=64, duration=8.0)
+        curve = tmp_path / "if.csv"
+        curve.write_text("".join("2.0\n" for _ in range(64)))
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--epsilon", repr(EPSILON_MIN),
+                     "--window", "128", "--hop", "8", "--fft-length", "512",
+                     "--if-curve", str(curve), "--out", str(out)]) == 0
+        self.assert_finite(out)
+        peak = max(float(v) for v in (out / "activated_signal.csv")
+                   .read_text().splitlines()[1:])
+        assert peak == 1.0 / EPSILON_MIN
+
+    def test_synth_bench_at_floor(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["synth-bench", "--trials", "3", "--activations",
+                     f"heps:{EPSILON_MIN!r}", "--out", str(out)]) == 0
+        self.assert_finite(out)
+        summary = json.loads((out / "summary.json").read_text())
+        assert 0.0 < summary["results"]["heps_1e-130"]["median"] < 1.0
 
 
 class TestSumset:

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from fundcomp.activations import ActivationSpec, apply
+from fundcomp.errors import RejectionOverflow
 from fundcomp.experiments import (
     BLOCK_TRIALS,
     DEFAULT_ACTIVATIONS,
+    MAX_GCD_RESAMPLES,
     SynthConfig,
+    _draw_trials,
     block_ratios,
     child_rng,
     frequency_weights,
@@ -17,6 +20,131 @@ from fundcomp.experiments import (
 )
 from fundcomp.signal_model import SampledSignal, TrigPolynomial, sample
 from fundcomp.spectral import dft, fundamental_energy_ratio
+
+
+def _draw_trial(rng, pool, probs, k_min, k_max):
+    """The sampler's oracle, one trial by `Generator.choice` itself:
+    frequencies in draw order, complex amplitudes, and the number of
+    frequency sets drawn until one had gcd 1."""
+    k = int(rng.integers(k_min, k_max + 1))
+    for sets in range(1, MAX_GCD_RESAMPLES + 1):
+        freqs = rng.choice(pool, size=k, replace=False, p=probs)
+        if math.gcd(*freqs.tolist()) == 1:
+            break
+    else:
+        raise RejectionOverflow("could not draw a gcd-1 frequency set")
+    amps = 1.0 - rng.random(k)            # (0, 1]
+    phases = 2.0 * math.pi * (1.0 - rng.random(k))  # (0, 2 pi]
+    return freqs, amps * np.exp(1j * phases), sets
+
+
+class CountingRng:
+    """A generator that counts its `random` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.random_calls = 0
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def random(self, size):
+        self.random_calls += 1
+        return self.rng.random(size)
+
+
+class ScriptedRng(np.random.Generator):
+    """A PCG64 generator whose uniforms are read, cyclically, from a script,
+    so that they can sit exactly on the steps of choice's cdf.
+    `Generator.choice` calls this `random` too."""
+
+    def __init__(self, seed, script, start):
+        super().__init__(np.random.PCG64(seed))
+        self.script, self.at = script, start
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        taken = (self.at + np.arange(np.prod(size))) % self.script.size
+        self.at += taken.size
+        return self.script[taken]
+
+
+def assert_draws_match_choice(seed, indices, pool, probs, k_min, k_max,
+                              make_rng=child_rng):
+    """_draw_trials over blocks of `indices` against the oracle, trial by
+    trial; returns (sets drawn, random calls) per trial."""
+    indices = list(indices)
+    counts = []
+    for start in range(0, len(indices), BLOCK_TRIALS):
+        block = indices[start:start + BLOCK_TRIALS]
+        rngs = [CountingRng(make_rng(seed, i)) for i in block]
+        rows, freqs, coeffs = _draw_trials(rngs, pool, probs, k_min, k_max)
+        assert np.array_equal(rows, np.sort(rows))
+        for row, (i, rng) in enumerate(zip(block, rngs)):
+            want_freqs, want_coeffs, sets = _draw_trial(
+                make_rng(seed, i), pool, probs, k_min, k_max)
+            assert np.array_equal(freqs[rows == row], want_freqs), i
+            assert np.array_equal(coeffs[rows == row], want_coeffs), i
+            counts.append((sets, rng.random_calls))
+    return counts
+
+
+class TestSampler:
+    """_draw_trials replays Generator.choice(p, replace=False): a numpy whose
+    choice draws differently fails here instead of drifting silently."""
+
+    @pytest.mark.parametrize("seed", [7, 123])
+    def test_matches_rng_choice(self, seed):
+        pool, probs = frequency_weights(2, 250, 100.0)
+        counts = assert_draws_match_choice(seed, range(5000), pool, probs, 5, 100)
+        # some frequency sets needed a second round of choice's loop
+        assert any(calls > sets + 1 for sets, calls in counts)
+
+    def test_small_pool_retries_and_rounds_in_one_block(self):
+        # 2..12 with 2 to 6 frequencies: sets of gcd 2 or 3 are common, and
+        # a set of 6 from 11 often needs more than one round
+        pool, probs = frequency_weights(2, 12, 100.0)
+        counts = assert_draws_match_choice(5, range(BLOCK_TRIALS), pool, probs,
+                                           2, 6)
+        assert any(sets > 1 for sets, _ in counts)
+        # one random(K - found) per round plus random(2K): more calls than
+        # sets + 1 means some set took several rounds
+        assert any(calls > sets + 1 for sets, calls in counts)
+
+    @pytest.mark.parametrize("freq_max,k_max", [(12, 6), (250, 100)])
+    def test_uniforms_on_the_cdf_steps(self, freq_max, k_max):
+        # on a step, one ulp below it, and 0: searchsorted's side and the
+        # cdf's last bit decide these draws, and found bins must be skipped
+        pool, probs = frequency_weights(2, freq_max, 100.0)
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        script = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0), [0.0]])
+        np.random.default_rng(4).shuffle(script)
+        assert_draws_match_choice(
+            0, range(2 * BLOCK_TRIALS), pool, probs, 2, k_max,
+            make_rng=lambda seed, i: ScriptedRng(i, script, 7 * i))
+
+    def test_whole_pool(self):
+        pool, probs = frequency_weights(2, 12, 100.0)
+        assert_draws_match_choice(3, range(8), pool, probs, 11, 11)
+
+    def test_single_frequency_overflows(self):
+        # every frequency is at least 2, so a one-term set never has gcd 1
+        with pytest.raises(RejectionOverflow):
+            generate_synthetic(child_rng(0, 0), k_min=1, k_max=1)
+        pool, probs = frequency_weights(2, 250, 100.0)
+        rngs = [CountingRng(child_rng(0, i)) for i in range(2)]
+        with pytest.raises(RejectionOverflow):
+            _draw_trials(rngs, pool, probs, 1, 1)
+        # one round per one-term set: MAX_GCD_RESAMPLES sets, then the error
+        assert [rng.random_calls for rng in rngs] == [MAX_GCD_RESAMPLES] * 2
+
+    def test_generate_synthetic_is_a_block_of_one(self):
+        pool, probs = frequency_weights(2, 250, 100.0)
+        for i in range(5):
+            freqs, coeffs, _ = _draw_trial(child_rng(9, i), pool, probs, 5, 100)
+            order = np.argsort(freqs)
+            terms = tuple((int(freqs[j]), coeffs[j]) for j in order)
+            assert generate_synthetic(child_rng(9, i)).terms == terms
 
 
 class TestGenerateSynthetic:
@@ -117,6 +245,21 @@ class TestRunTrials:
             SynthConfig(trials=0, master_seed=1)
         with pytest.raises(ValueError):
             SynthConfig(trials=1, master_seed=1, freq_min=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"freq_max": 50, "k_min": 60, "k_max": 60},   # 49 frequencies
+        {"freq_max": 50, "k_max": 50},
+        {"density_scale": 1.0},   # exp(-x^2 / 2) is 0 from x = 39 on
+    ])
+    def test_pool_must_hold_k_max(self, kwargs):
+        with pytest.raises(ValueError, match="k_max"):
+            SynthConfig(trials=1, master_seed=1, **kwargs)
+        with pytest.raises(ValueError, match="k_max"):
+            generate_synthetic(child_rng(1, 0), **kwargs)
+
+    def test_pool_of_exactly_k_max(self):
+        cfg = SynthConfig(trials=3, master_seed=1, freq_max=50, k_max=49)
+        assert block_ratios(cfg, range(3)).shape == (3, 5)
 
     @pytest.mark.parametrize("kwargs", [
         {"sample_rate": 512.5},
