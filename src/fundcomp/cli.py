@@ -149,10 +149,13 @@ def cmd_analyze(args) -> int:
     hop = args.hop if args.hop else max(1, int(round(rate / 10)))
     fft_length = args.fft_length if args.fft_length else max(
         window, 1 << (window - 1).bit_length())
+    if fft_length < window:
+        print(f"fundcomp analyze: error: --fft-length {fft_length} is below "
+              f"the window length {window}", file=sys.stderr)
+        return EXIT_USAGE
     spec = _parse_activation(args.activation, args.epsilon)
 
-    activated = SampledSignal(activations.apply(spec, signal.samples), rate,
-                              signal.start_time)
+    activated = SampledSignal(activations.apply(spec, signal.samples), rate)
     spectrum = spectral.dft(activated)
     spg = spectral.stft(activated, window, hop, fft_length)
     max_bin = min(256, len(spectrum.bins) - 1)
@@ -179,8 +182,7 @@ def cmd_analyze(args) -> int:
         report["band_energy_ratio"] = spectral.band_energy_ratio(
             spg, curve, half_width=half_width,
             band_floor=1.0 / duration, band_ceiling=rate / 2.0)
-    # rebound, so the unclipped matrix is freed before export
-    spg = spectral.dynamic_range_clip(spg)
+    spectral.dynamic_range_clip(spg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

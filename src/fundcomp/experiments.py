@@ -92,13 +92,10 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class TrialStats:
-    activation: str
     median: float
     mad: float
-    histogram_edges: tuple[float, ...]
     histogram_counts: tuple[int, ...]
     trials_run: int
-    rng_id: str = RNG_ID
 
 
 def child_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -271,8 +268,7 @@ def run_trials(config: SynthConfig, *, first_trial: int = 0,
         counts, _ = np.histogram(np.clip(col, 0.0, HIST_EDGES[-1]),
                                  bins=HIST_EDGES)
         stats[spec.label] = TrialStats(
-            activation=spec.label, median=med, mad=mad,
-            histogram_edges=tuple(HIST_EDGES.tolist()),
+            median=med, mad=mad,
             histogram_counts=tuple(int(c) for c in counts),
             trials_run=len(indices))
     return stats
@@ -293,6 +289,6 @@ def write_summary_json(stats: dict[str, TrialStats], config: SynthConfig, fh) ->
 
 def write_histogram_csv(s: TrialStats, fh) -> None:
     fh.write("bin_lo,bin_hi,count\n")
-    for lo, hi, c in zip(s.histogram_edges, s.histogram_edges[1:],
-                         s.histogram_counts):
+    edges = HIST_EDGES.tolist()
+    for lo, hi, c in zip(edges, edges[1:], s.histogram_counts):
         fh.write(f"{lo:.17g},{hi:.17g},{c}\n")

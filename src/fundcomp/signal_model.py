@@ -78,7 +78,6 @@ class TrigPolynomial:
 class SampledSignal:
     samples: np.ndarray
     sample_rate: float
-    start_time: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -152,7 +151,7 @@ def sample(poly: TrigPolynomial, sample_rate: float, duration: float) -> Sampled
         raise ValueError("duration too short for this sample rate")
     t = np.arange(n) / sample_rate
     vals = evaluate(poly, t)
-    return SampledSignal(np.real(vals), sample_rate, 0.0)
+    return SampledSignal(np.real(vals), sample_rate)
 
 
 def _exp_coefficients(poly: TrigPolynomial) -> tuple[np.ndarray, np.ndarray]:

@@ -18,29 +18,13 @@ from .signal_model import SampledSignal
 # stft transforms, and spectrogram_to_pgm scales, this many frames at a time,
 # so their transients stay a few MB beside the one |V|^2 matrix
 _BLOCK_FRAMES = 16
-
-
-def _frozen(arr, dtype) -> np.ndarray:
-    """arr itself if it is an owning, read-only, C-ordered array of dtype, as
-    dft, stft and dynamic_range_clip build them; otherwise a read-only copy."""
-    if (isinstance(arr, np.ndarray) and arr.dtype == dtype
-            and arr.flags.owndata and not arr.flags.writeable
-            and arr.flags.c_contiguous):
-        return arr
-    out = np.array(arr, dtype=dtype)
-    out.flags.writeable = False
-    return out
+_CLIP_PERCENTILES = (0.0, 99.95)
 
 
 @dataclass(frozen=True)
 class Spectrum:
     bins: np.ndarray
     bin_width: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "bins", _frozen(self.bins, np.complex128))
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.bins)
@@ -49,28 +33,15 @@ class Spectrum:
 @dataclass(frozen=True)
 class Spectrogram:
     matrix: np.ndarray          # frames x frequency bins, |V|^2
-    time_step: float
     freq_step: float
     window_descriptor: str
-
-    def __post_init__(self):
-        arr = _frozen(self.matrix, np.float64)
-        if arr.ndim != 2:
-            raise ValueError("spectrogram matrix must be 2-D")
-        if np.any(arr < 0):
-            raise ValueError("spectrogram entries must be nonnegative")
-        object.__setattr__(self, "matrix", arr)
 
     @property
     def n_frames(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_bins(self) -> int:
-        return self.matrix.shape[1]
-
     def frequencies(self) -> np.ndarray:
-        return np.arange(self.n_bins) * self.freq_step
+        return np.arange(self.matrix.shape[1]) * self.freq_step
 
 
 def dft(signal: SampledSignal) -> Spectrum:
@@ -80,7 +51,6 @@ def dft(signal: SampledSignal) -> Spectrum:
     dc = bins[0] / n
     bins *= 2.0 / n
     bins[0] = dc
-    bins.flags.writeable = False
     return Spectrum(bins=bins, bin_width=signal.sample_rate / n)
 
 
@@ -140,30 +110,19 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
         blk = matrix[start:stop]
         np.abs(spec, out=blk)
         np.square(blk, out=blk)  # bitwise np.abs(spec) ** 2
-    matrix.flags.writeable = False
     return Spectrogram(
         matrix=matrix,
-        time_step=hop / signal.sample_rate,
         freq_step=signal.sample_rate / fft_length,
         window_descriptor=f"gaussian(length={window_length},sigma={window_length / 8:g})",
     )
 
 
-def dynamic_range_clip(spectrogram: Spectrogram, lo_pct: float = 0.0,
-                       hi_pct: float = 99.95) -> Spectrogram:
-    """Clip entries to the [lo_pct, hi_pct] percentiles (linear interpolation)."""
-    if not 0.0 <= lo_pct < hi_pct <= 100.0:
-        raise ValueError("need 0 <= lo_pct < hi_pct <= 100")
-    lo, hi = np.percentile(spectrogram.matrix.ravel(), [lo_pct, hi_pct],
-                           method="linear")
-    clipped = np.clip(spectrogram.matrix, lo, hi)
-    clipped.flags.writeable = False
-    return Spectrogram(
-        matrix=clipped,
-        time_step=spectrogram.time_step,
-        freq_step=spectrogram.freq_step,
-        window_descriptor=spectrogram.window_descriptor,
-    )
+def dynamic_range_clip(spectrogram: Spectrogram) -> None:
+    """Clip the matrix in place to its [0, 99.95] percentiles (linear
+    interpolation), the display convention of the exports."""
+    m = spectrogram.matrix
+    lo, hi = np.percentile(m.ravel(), _CLIP_PERCENTILES, method="linear")
+    np.clip(m, lo, hi, out=m)
 
 
 def band_energy_ratio(spectrogram: Spectrogram, if_curve, half_width: float = 0.2,

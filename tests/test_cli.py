@@ -442,6 +442,17 @@ class TestUsage:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--window", "64", "--fft-length", "32"],
+        ["--fft-length", "64"]])  # below the default window, 2 s = 128 samples
+    def test_fft_length_below_window(self, tmp_path, capsys, argv):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), *argv, "--out", str(out)]) == 2
+        assert "--fft-length" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-0.2", "nan", "inf", "x"])
     def test_bad_half_width(self, tmp_path, value):
         src = tmp_path / "tone.csv"

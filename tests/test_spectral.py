@@ -213,67 +213,23 @@ class TestStft:
         assert peak <= 1.5 * spg.matrix.nbytes
 
 
-class TestOwnership:
-    def test_writeable_matrix_is_copied(self):
-        m = np.arange(6.0).reshape(2, 3)
-        spg = Spectrogram(m, 1.0, 1.0, "t")
-        m[0, 0] = 99.0
-        assert spg.matrix[0, 0] == 0.0
-        assert not spg.matrix.flags.writeable
-
-    def test_read_only_view_is_copied(self):
-        m = np.arange(6.0).reshape(2, 3)
-        view = m[:]
-        view.flags.writeable = False
-        spg = Spectrogram(view, 1.0, 1.0, "t")
-        m[0, 0] = 99.0
-        assert spg.matrix[0, 0] == 0.0
-
-    def test_writeable_bins_are_copied(self):
-        bins = np.array([1.0 + 0j, 2.0 - 1j])
-        spec = Spectrum(bins, 1.0)
-        bins[0] = 5.0
-        assert spec.bins[0] == 1.0
-        assert not spec.bins.flags.writeable
-
-    def test_owned_read_only_array_is_taken(self):
-        m = np.zeros((2, 3))
-        m.flags.writeable = False
-        assert Spectrogram(m, 1.0, 1.0, "t").matrix is m
-
-
 class TestDynamicRangeClip:
-    def test_median_cap(self):
-        m = np.arange(10000, dtype=float).reshape(100, 100)
-        spg = Spectrogram(m, 1.0, 1.0, "test")
-        out = dynamic_range_clip(spg, 0, 50)
-        assert np.max(out.matrix) == pytest.approx(4999.5)
-
     def test_all_equal_unchanged(self):
-        spg = Spectrogram(np.full((4, 4), 2.5), 1.0, 1.0, "test")
-        out = dynamic_range_clip(spg)
-        assert np.array_equal(out.matrix, spg.matrix)
-
-    def test_full_range_unchanged(self):
-        rng = np.random.default_rng(1)
-        spg = Spectrogram(rng.random((20, 20)), 1.0, 1.0, "test")
-        out = dynamic_range_clip(spg, 0, 100)
-        assert np.array_equal(out.matrix, spg.matrix)
-
-    def test_matches_percentile_clip_oracle(self):
-        rng = np.random.default_rng(2)
-        m = rng.random((30, 30))
-        spg = Spectrogram(m, 1.0, 1.0, "test")
-        out = dynamic_range_clip(spg, 5.0, 95.0)
-        lo, hi = np.percentile(m, [5.0, 95.0])
-        assert np.array_equal(out.matrix, np.clip(m, lo, hi))
+        m = np.full((4, 4), 2.5)
+        spg = Spectrogram(m, 1.0, "test")
+        assert dynamic_range_clip(spg) is None
+        assert spg.matrix is m
+        assert np.array_equal(m, np.full((4, 4), 2.5))
 
     def test_default_percentiles_match_separate_calls(self):
         m = np.random.default_rng(3).random((50, 70)) ** 8
-        out = dynamic_range_clip(Spectrogram(m, 1.0, 1.0, "test"))
         lo = np.percentile(m.ravel(), 0.0, method="linear")
         hi = np.percentile(m.ravel(), 99.95, method="linear")
-        assert out.matrix.tobytes() == np.clip(m, lo, hi).tobytes()
+        expected = np.clip(m, lo, hi)
+        spg = Spectrogram(m, 1.0, "test")
+        dynamic_range_clip(spg)
+        assert spg.matrix is m
+        assert m.tobytes() == expected.tobytes()
 
 
 class TestBandEnergyRatio:
@@ -308,7 +264,7 @@ class TestBandEnergyRatio:
     def test_half_spacing_reaches_a_midpoint(self):
         # bins 0, 0.1, ..., 1.0; 0.55 lies an ulp more than 0.05 from the
         # rounded bins 0.5 and 0.6000000000000001
-        spg = Spectrogram(np.ones((2, 11)), 1.0, 0.1, "t")
+        spg = Spectrogram(np.ones((2, 11)), 0.1, "t")
         curve = np.array([0.55, 0.05])
         assert np.all(np.abs(spg.frequencies()[5:7] - 0.55) > 0.05)
         assert band_energy_ratio(spg, curve, spg.freq_step / 2) == 4 / 22
@@ -318,14 +274,14 @@ class TestBandEnergyRatio:
 
 class TestExports:
     def test_csv_row_per_frame(self, tmp_path):
-        spg = Spectrogram(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0, 1.0, "t")
+        spg = Spectrogram(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0, "t")
         path = tmp_path / "s.csv"
         spectrogram_to_csv(spg, path)
         lines = path.read_text().splitlines()
         assert lines == ["1,2", "3,4"]
 
     def test_pgm_header_and_size(self, tmp_path):
-        spg = Spectrogram(np.array([[0.0, 1.0], [2.0, 4.0]]), 1.0, 1.0, "t")
+        spg = Spectrogram(np.array([[0.0, 1.0], [2.0, 4.0]]), 1.0, "t")
         path = tmp_path / "s.pgm"
         spectrogram_to_pgm(spg, path)
         data = path.read_bytes()
@@ -336,7 +292,7 @@ class TestExports:
     def test_pgm_rows_match_whole_matrix_scaling(self, tmp_path):
         m = np.random.default_rng(4).random((2 * _BLOCK_FRAMES + 3, 9))
         path = tmp_path / "s.pgm"
-        spectrogram_to_pgm(Spectrogram(m, 1.0, 1.0, "t"), path)
+        spectrogram_to_pgm(Spectrogram(m, 1.0, "t"), path)
         lo, hi = m.min(), m.max()
         expected = np.round((m - lo) / (hi - lo) * 255.0).astype(np.uint8)
         assert path.read_bytes() == b"P5\n9 %d\n255\n" % m.shape[0] + \
@@ -347,7 +303,7 @@ class TestExports:
         m = np.abs(wide_range_values(np.random.default_rng(5), (7, 4097)))
         m[0, :3] = [0.0, 5e-324, 1.0 / 3.0]
         path = tmp_path / "s.csv"
-        spectrogram_to_csv(Spectrogram(m, 1.0, 1.0, "t"), path)
+        spectrogram_to_csv(Spectrogram(m, 1.0, "t"), path)
         expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                            for row in m)
         assert path.read_bytes() == expected.encode("ascii")
@@ -372,8 +328,7 @@ class TestExports:
     def test_csv_formats_a_few_rows_at_a_time(self, tmp_path):
         # the Python floats and the text of the whole matrix would take
         # several times its bytes
-        spg = Spectrogram(np.random.default_rng(8).random((64, 4097)), 1.0,
-                          1.0, "t")
+        spg = Spectrogram(np.random.default_rng(8).random((64, 4097)), 1.0, "t")
         tracemalloc.start()
         try:
             spectrogram_to_csv(spg, tmp_path / "s.csv")

@@ -5,9 +5,13 @@
   the package (another module, or another statement of its own module), so
   no library surface is reachable only from tests.  ENTRY_POINTS lists the
   exceptions.
+- Every public method, property and dataclass field of a public class is
+  read as an attribute by package code outside its own definition, matched
+  by name.  MEMBER_ENTRY_POINTS lists the exceptions.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fundcomp"
@@ -16,13 +20,20 @@ MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
 
 # Public names that no package code calls, kept as entry points.
 ENTRY_POINTS = {
-    # the acceptance criteria and the README example: the reference draw,
-    # the sampled pipeline and the theory checks they are stated against
+    # the acceptance criteria: the reference draw, the sampled pipeline of
+    # the fourier-plumbing check and the theory checks they are stated
+    # against
     ("experiments", "generate_synthetic"),
     ("signal_model", "sample"),
     ("theory", "numeric_fundamental_integral"),
     ("theory", "gcd_reduction_check"),
     ("theory", "cauchy_tail_integral"),
+}
+
+# Public class members that no package code reads, kept as entry points.
+MEMBER_ENTRY_POINTS = {
+    # the acceptance fourier-plumbing check
+    ("spectral", "Spectrum", "magnitudes"),
 }
 
 
@@ -41,6 +52,26 @@ def _loaded_names(node):
     """Names read anywhere in node; a class field's own name is no read."""
     return {n.id for n in ast.walk(node)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _attribute_reads(node):
+    """How often each attribute name is read anywhere in node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _public_members(cls):
+    """(name, definition) of each public method, property and dataclass
+    field of a class."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef):
+            name = stmt.name
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            name = stmt.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, stmt
 
 
 def _references(module, stmt, sibling_modules):
@@ -88,3 +119,17 @@ def test_every_public_definition_has_a_caller():
     # an entry point that gained a caller, or is gone, leaves the list
     stale = sorted(f"{m}.{n}" for m, n in ENTRY_POINTS - orphans)
     assert not stale, f"listed as entry points but not orphans: {stale}"
+
+
+def test_every_public_member_is_read():
+    reads = sum((_attribute_reads(tree) for tree in MODULES.values()), Counter())
+    unread = {(module, cls.name, name)
+              for module, tree in MODULES.items()
+              for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              for name, definition in _public_members(cls)
+              if reads[name] == _attribute_reads(definition)[name]}
+    unlisted = sorted(".".join(m) for m in unread - MEMBER_ENTRY_POINTS)
+    assert not unlisted, f"public but no package code reads them: {unlisted}"
+    stale = sorted(".".join(m) for m in MEMBER_ENTRY_POINTS - unread)
+    assert not stale, f"listed as member entry points but read: {stale}"

@@ -8,7 +8,6 @@ from fundcomp import theory
 from fundcomp.errors import ConstantModulus, QuadratureNonConvergence
 from fundcomp.signal_model import TrigPolynomial, find_global_maxima
 from fundcomp.theory import (
-    AsymptoticReport,
     FrequencySet,
     adaptive_quadrature,
     asymptotic_prediction,
@@ -179,10 +178,6 @@ class TestScalingVerification:
         for r in res.reports:
             assert r.abs_error == abs(r.numeric_integral - r.prediction)
             assert r.rel_error == r.abs_error / abs(r.prediction)
-
-    def test_inconsistent_report_rejected(self):
-        with pytest.raises(ValueError):
-            AsymptoticReport(0.01, 1 + 0j, 2 + 0j, abs_error=5.0, rel_error=2.5)
 
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
