@@ -263,14 +263,7 @@ def cmd_sumset(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fundcomp",
-        description="Fundamental component enhancement via nonlinear activations")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="activate a signal and analyze its spectrum")
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="CSV (header 'sample_rate,<value>') or PCM WAV; "
                                  "WAV samples are scaled to [-1, 1] by full scale")
     p.add_argument("--activation", choices=["abs", "relu", "heps"], default="heps")
@@ -291,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("verify-theorem",
-                       help="check the peak asymptotics on an epsilon ladder")
+
+def _verify_theorem_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--signal", required=True,
                    help="JSON polynomial spec: [{'m', 're', 'im'}, ...]")
     p.add_argument("--eps-ladder", type=_parse_eps_ladder,
@@ -302,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="JSONL report path (default stdout)")
     p.set_defaults(func=cmd_verify_theorem)
 
-    p = sub.add_parser("synth-bench", help="run the synthetic benchmark")
+
+def _synth_bench_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=_parse_positive_int, default=10_000)
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--activations", type=_parse_activation_list,
@@ -315,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_synth_bench)
 
-    p = sub.add_parser("sumset", help="sumset support and gcd stabilization")
+
+def _sumset_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--freqs", type=_parse_freqs, required=True,
                    help="comma list of positive integers, e.g. 6,9,33")
     p.add_argument("--kmax", type=_parse_positive_int, default=50)
@@ -323,13 +318,51 @@ def build_parser() -> argparse.ArgumentParser:
                    help="support range limit, at least the max frequency "
                         "(default 10 * max frequency)")
     p.set_defaults(func=cmd_sumset)
+
+
+# name: (help line, function adding the subcommand's arguments)
+_SUBCOMMANDS = {
+    "analyze": ("activate a signal and analyze its spectrum", _analyze_arguments),
+    "verify-theorem": ("check the peak asymptotics on an epsilon ladder",
+                       _verify_theorem_arguments),
+    "synth-bench": ("run the synthetic benchmark", _synth_bench_arguments),
+    "sumset": ("sumset support and gcd stabilization", _sumset_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fundcomp",
+        description="Fundamental component enhancement via nonlinear activations")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building only the named subcommand's
+    parser when argv starts with one.
+
+    That parser is the one build_parser() makes for it, so its help, usage
+    and errors are the same.  The full parser runs when argv names no
+    subcommand (help, --version, a missing or unknown one) or leaves
+    arguments unrecognized, which the top-level parser reports.
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog=f"fundcomp {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

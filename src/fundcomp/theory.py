@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -179,31 +179,80 @@ def _peak_aware_edges(peaks: PeakSet, epsilon: float, period: float,
         offsets.append(w)
         w *= 0.5
     offsets.append(min(inner, outer))
-    edges = set()
-    for p in peaks.peaks:
-        for off in offsets:
-            edges.add((p.location + off) % period)
-            edges.add((p.location - off) % period)
+    loc = np.array([p.location for p in peaks.peaks])[:, None]
+    off = np.array(offsets)
     n_uniform = max(64, 4 * max_frequency)
-    for i in range(n_uniform):
-        edges.add(period * i / n_uniform)
-    return np.array(sorted(edges))
+    return np.unique(np.concatenate([
+        ((loc + off) % period).ravel(), ((loc - off) % period).ravel(),
+        period * np.arange(n_uniform) / n_uniform]))
+
+
+def _modulus_and_phase(poly: TrigPolynomial, norm: float, target_bin: int,
+                       t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min(|f(t)|/||f||, 1) and e^{i omega b t} at the abscissae t."""
+    mod = np.minimum(np.abs(evaluate(poly, t)) / norm, 1.0)
+    return mod, np.exp(1j * (TWO_PI / poly.period) * target_bin * t)
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """`a`, or a copy with room for at least `size` rows."""
+    if size <= len(a):
+        return a
+    out = np.empty((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
+class _RowMemo:
+    """_modulus_and_phase at bin 1, computed once per distinct row of
+    Gauss-Kronrod abscissae.
+
+    Rows are looked up by their bytes, so a hit returns exactly the values
+    that evaluating the row again would give.  The uniform panels, and so
+    most rows, are the same on every rung of an epsilon ladder.
+    """
+
+    def __init__(self, poly: TrigPolynomial, norm: float):
+        self._poly, self._norm = poly, norm
+        self._slot: dict[bytes, int] = {}
+        self._mod = np.empty((0, _GK_NODES.size))
+        self._phase = np.empty((0, _GK_NODES.size), dtype=np.complex128)
+
+    def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.ascontiguousarray(t, dtype=np.float64).reshape(-1, _GK_NODES.size)
+        keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel().tolist()
+        slots = [self._slot.get(k, -1) for k in keys]
+        new = [i for i, s in enumerate(slots) if s < 0]
+        if new:
+            for i in new:
+                slots[i] = self._slot.setdefault(keys[i], len(self._slot))
+            self._mod = _grown(self._mod, len(self._slot))
+            self._phase = _grown(self._phase, len(self._slot))
+            fresh = [slots[i] for i in new]
+            self._mod[fresh], self._phase[fresh] = _modulus_and_phase(
+                self._poly, self._norm, 1, rows[new])
+        return (self._mod[slots].reshape(np.shape(t)),
+                self._phase[slots].reshape(np.shape(t)))
 
 
 def _fundamental_integral(poly: TrigPolynomial, peaks: PeakSet, epsilon: float,
-                          target_bin: int) -> complex:
-    """numeric_fundamental_integral with the PeakSet of `poly` supplied."""
+                          target_bin: int, values=None) -> complex:
+    """numeric_fundamental_integral with the PeakSet of `poly` supplied.
+
+    `values(t)` gives _modulus_and_phase at the abscissae t; by default it
+    is computed afresh on every call.
+    """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1], 1 only as a smoke test")
     if target_bin < 1:
         raise ValueError("target_bin must be a positive integer")
-    norm = peaks.sup_norm
     period = poly.period
-    omega = TWO_PI / period
+    if values is None:
+        values = partial(_modulus_and_phase, poly, peaks.sup_norm, target_bin)
 
     def integrand(t):
-        mod = np.minimum(np.abs(evaluate(poly, t)) / norm, 1.0)
-        return _h_eps_kernel(mod, epsilon) * np.exp(1j * omega * target_bin * t)
+        mod, phase = values(t)
+        return _h_eps_kernel(mod, epsilon) * phase
 
     base = _peak_aware_edges(peaks, epsilon, period, poly.max_frequency)
     edges = np.concatenate([base, [base[0] + period]])
@@ -253,7 +302,7 @@ def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
     the remainder bound predicts an exponent of at most 1/4 whether or not
     the peak sum cancels (in the cancellation case the prediction is 0 and
     the error is the raw integral).  The peaks are found once for the whole
-    ladder.
+    ladder, and |f| once per distinct Gauss-Kronrod panel across all rungs.
     """
     eps = [float(e) for e in epsilons]
     if any(not 0.0 < e <= 0.1 for e in eps):
@@ -263,9 +312,10 @@ def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
 
     peaks = find_global_maxima(poly)
     cancels = _cancellation_ratio(peaks) < 1e-6
+    memo = _RowMemo(poly, peaks.sup_norm)
     reports = []
     for e in eps:
-        numeric = _fundamental_integral(poly, peaks, e, 1)
+        numeric = _fundamental_integral(poly, peaks, e, 1, memo)
         pred = complex(0) if cancels else asymptotic_prediction(peaks, e)
         reports.append(AsymptoticReport(
             epsilon=e, numeric_integral=numeric, prediction=pred))

@@ -1,7 +1,10 @@
 import json
 import re
 import struct
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -491,3 +494,15 @@ class TestUsage:
         assert not out.exists()
         # only synth-bench reads it
         assert main(["sumset", "--freqs", "2,3"]) == 0
+
+
+def test_cli_import_leaves_process_pool_out():
+    """Only synth-bench with --workers above 1 loads concurrent.futures."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {str(src)!r}); import fundcomp.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith("
+         "('concurrent', 'multiprocessing'))))"],
+        capture_output=True, text=True, check=True, timeout=60)
+    assert probe.stdout.strip() == "[]"

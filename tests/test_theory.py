@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,13 @@ from scipy.integrate import quad
 
 from fundcomp import theory
 from fundcomp.errors import ConstantModulus, QuadratureNonConvergence
-from fundcomp.signal_model import TrigPolynomial, find_global_maxima
+from fundcomp.signal_model import (
+    TWO_PI,
+    Peak,
+    PeakSet,
+    TrigPolynomial,
+    find_global_maxima,
+)
 from fundcomp.theory import (
     FrequencySet,
     adaptive_quadrature,
@@ -21,10 +29,16 @@ from fundcomp.theory import (
 from theory_oracles import (
     heap_quadrature,
     live_error_estimate,
+    peak_aware_edges_set,
     sumset_support_bruteforce,
 )
 
 TWO_EXP = TrigPolynomial(((1, 1 + 0j), (2, 1 + 0j)))  # peak at 0, g''=-1/2, sup 2
+EIGHT_TERMS = TrigPolynomial(((3, 0.4 - 0.2j), (7, 0.1 + 0.5j), (11, 0.7j),
+                              (17, -0.5 + 0j), (23, 0.2 - 0.6j), (29, 0.3 + 0.3j),
+                              (34, -0.25j), (40, 0.9 + 0j)))
+COS = TrigPolynomial(((1, 1.0),), real_cosine_form=True)  # antipodal peaks
+LADDER = [1e-2, 1e-3, 1e-4, 1e-5]
 
 
 class TestCauchyTailIntegral:
@@ -129,6 +143,87 @@ class TestAdaptiveQuadrature:
         monkeypatch.setattr(theory, "adaptive_quadrature", heap_quadrature)
         ref = numeric_fundamental_integral(poly, eps)
         assert abs(got - ref) <= 1e-6 * eps ** -0.5
+
+
+class TestPeakAwareEdges:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_set_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        period = float(rng.choice([TWO_PI, 1.0, 0.37, 50.0]))
+        epsilon = 10.0 ** rng.uniform(-12, -1)
+        max_frequency = int(rng.integers(1, 300))
+        n_uniform = max(64, 4 * max_frequency)
+        locs = set(rng.uniform(0.0, period, int(rng.integers(1, 6))).tolist())
+        # one peak on a uniform edge, whose offset 0 repeats that edge
+        locs.add(period * int(rng.integers(n_uniform)) / n_uniform)
+        peaks = PeakSet(tuple(Peak(t, 1.0, -1.0) for t in sorted(locs)),
+                        sup_norm=1.0, period=period)
+        got = theory._peak_aware_edges(peaks, epsilon, period, max_frequency)
+        want = peak_aware_edges_set(peaks, epsilon, period, max_frequency)
+        assert np.array_equal(got, want)
+
+    def test_peaks_at_zero_and_near_the_period_end(self):
+        period = TWO_PI
+        peaks = PeakSet((Peak(0.0, 1.0, -1.0), Peak(period - 1e-9, 1.0, -1.0)),
+                        sup_norm=1.0, period=period)
+        for eps in (1e-2, 1e-7):
+            assert np.array_equal(theory._peak_aware_edges(peaks, eps, period, 16),
+                                  peak_aware_edges_set(peaks, eps, period, 16))
+
+
+class TestLadderMemo:
+    """scaling_verification evaluates |f| once per distinct panel row."""
+
+    @staticmethod
+    def record_rows(monkeypatch):
+        rows = []
+
+        def recording(poly, t):
+            rows.extend(r.tobytes() for r in np.reshape(t, (-1, 15)))
+            return evaluate(poly, t)
+
+        evaluate = theory.evaluate
+        monkeypatch.setattr(theory, "evaluate", recording)
+        return rows
+
+    @pytest.mark.parametrize("poly", [TWO_EXP, EIGHT_TERMS, COS])
+    def test_reports_bit_identical_to_each_rung(self, poly):
+        res = scaling_verification(poly, LADDER)
+        for r in res.reports:
+            alone = numeric_fundamental_integral(poly, r.epsilon)
+            assert (r.numeric_integral.real.hex(), r.numeric_integral.imag.hex()) \
+                == (alone.real.hex(), alone.imag.hex())
+
+    @pytest.mark.parametrize("poly", [TWO_EXP, EIGHT_TERMS, COS])
+    def test_no_row_evaluated_twice(self, poly, monkeypatch):
+        rows = self.record_rows(monkeypatch)
+        for e in LADDER:
+            numeric_fundamental_integral(poly, e)
+        assert len(set(rows)) < len(rows)  # rung by rung, rows repeat
+        rows.clear()
+        scaling_verification(poly, LADDER)
+        assert rows and len(set(rows)) == len(rows)
+
+    def test_memo_gone_after_the_call(self, monkeypatch):
+        memos = []
+
+        class Recorded(theory._RowMemo):
+            def __init__(self, *args):
+                super().__init__(*args)
+                memos.append(weakref.ref(self))
+
+        monkeypatch.setattr(theory, "_RowMemo", Recorded)
+        rows = self.record_rows(monkeypatch)
+        before = dict(vars(theory))
+        scaling_verification(EIGHT_TERMS, LADDER)
+        first = list(rows)
+        gc.collect()
+        assert len(memos) == 1 and memos[0]() is None
+        assert vars(theory) == before
+        # a second call keeps nothing from the first: it evaluates the same rows
+        rows.clear()
+        scaling_verification(EIGHT_TERMS, LADDER)
+        assert rows == first
 
 
 class TestPrediction:

@@ -2,10 +2,12 @@
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 
 from fundcomp.errors import QuadratureNonConvergence
+from fundcomp.signal_model import TWO_PI
 from fundcomp.theory import MAX_PANEL_SPLITS, FrequencySet
 
 _GK_NODES = np.array([
@@ -85,6 +87,28 @@ def live_error_estimate(fun, node_rows) -> float:
                             rtol=0.0, atol=1e-12)
                  & np.isclose(0.5 * half[:, None], half, rtol=0.0, atol=1e-12))
     return float(est[~left_half.any(axis=1)].sum())
+
+
+def peak_aware_edges_set(peaks, epsilon, period, max_frequency):
+    """theory._peak_aware_edges built one edge at a time in a Python set."""
+    rel = period / TWO_PI
+    outer = min(epsilon ** 0.25 * rel, period / (4.0 * max(len(peaks.peaks), 1)))
+    inner = math.sqrt(epsilon) * rel / 8.0
+    offsets = [0.0]
+    w = outer
+    while w > inner:
+        offsets.append(w)
+        w *= 0.5
+    offsets.append(min(inner, outer))
+    edges = set()
+    for p in peaks.peaks:
+        for off in offsets:
+            edges.add((p.location + off) % period)
+            edges.add((p.location - off) % period)
+    n_uniform = max(64, 4 * max_frequency)
+    for i in range(n_uniform):
+        edges.add(period * i / n_uniform)
+    return np.array(sorted(edges))
 
 
 def sumset_support_bruteforce(M: FrequencySet, k: int, range_limit: int) -> set[int]:
