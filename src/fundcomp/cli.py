@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 input-format error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -263,7 +264,15 @@ def cmd_sumset(args) -> int:
     return EXIT_OK
 
 
-def _analyze_arguments(p: argparse.ArgumentParser) -> None:
+def build_parser(workers: str) -> argparse.ArgumentParser:
+    """The CLI's parser, with `workers` as synth-bench's --workers default."""
+    parser = argparse.ArgumentParser(
+        prog="fundcomp",
+        description="Fundamental component enhancement via nonlinear activations")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="activate a signal and analyze its spectrum")
     p.add_argument("input", help="CSV (header 'sample_rate,<value>') or PCM WAV; "
                                  "WAV samples are scaled to [-1, 1] by full scale")
     p.add_argument("--activation", choices=["abs", "relu", "heps"], default="heps")
@@ -282,10 +291,9 @@ def _analyze_arguments(p: argparse.ArgumentParser) -> None:
                    help="band half-width in Hz around the IF curve (default: "
                         "the larger of 0.2 and half the STFT bin spacing)")
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_analyze)
 
-
-def _verify_theorem_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("verify-theorem",
+                       help="check the peak asymptotics on an epsilon ladder")
     p.add_argument("--signal", required=True,
                    help="JSON polynomial spec: [{'m', 're', 'im'}, ...]")
     p.add_argument("--eps-ladder", type=_parse_eps_ladder,
@@ -293,10 +301,8 @@ def _verify_theorem_arguments(p: argparse.ArgumentParser) -> None:
                    help="comma list of at least 2 strictly decreasing values "
                         "in [2.2e-308, 0.1]")
     p.add_argument("--out", default=None, help="JSONL report path (default stdout)")
-    p.set_defaults(func=cmd_verify_theorem)
 
-
-def _synth_bench_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("synth-bench", help="run the synthetic benchmark")
     p.add_argument("--trials", type=_parse_positive_int, default=10_000)
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--activations", type=_parse_activation_list,
@@ -304,69 +310,36 @@ def _synth_bench_arguments(p: argparse.ArgumentParser) -> None:
                    help="e.g. abs,relu,heps:0.2,heps:0.1,heps:0.05")
     # a string default goes through `type`, so a bad FUNDCOMP_WORKERS is a
     # usage error of synth-bench alone
-    p.add_argument("--workers", type=_parse_positive_int,
-                   default=os.environ.get("FUNDCOMP_WORKERS", "1"))
+    p.add_argument("--workers", type=_parse_positive_int, default=workers)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_synth_bench)
 
-
-def _sumset_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("sumset", help="sumset support and gcd stabilization")
     p.add_argument("--freqs", type=_parse_freqs, required=True,
                    help="comma list of positive integers, e.g. 6,9,33")
     p.add_argument("--kmax", type=_parse_positive_int, default=50)
     p.add_argument("--range", type=_parse_positive_int, default=None,
                    help="support range limit, at least the max frequency "
                         "(default 10 * max frequency)")
-    p.set_defaults(func=cmd_sumset)
-
-
-# name: (help line, function adding the subcommand's arguments)
-_SUBCOMMANDS = {
-    "analyze": ("activate a signal and analyze its spectrum", _analyze_arguments),
-    "verify-theorem": ("check the peak asymptotics on an epsilon ladder",
-                       _verify_theorem_arguments),
-    "synth-bench": ("run the synthetic benchmark", _synth_bench_arguments),
-    "sumset": ("sumset support and gcd stabilization", _sumset_arguments),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fundcomp",
-        description="Fundamental component enhancement via nonlinear activations")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), building only the named subcommand's
-    parser when argv starts with one.
-
-    That parser is the one build_parser() makes for it, so its help, usage
-    and errors are the same.  The full parser runs when argv names no
-    subcommand (help, --version, a missing or unknown one) or leaves
-    arguments unrecognized, which the top-level parser reports.
-    """
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog=f"fundcomp {argv[0]}")
-        _SUBCOMMANDS[argv[0]][1](parser)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+# built once per FUNDCOMP_WORKERS value: building the parser takes about
+# 1 ms, parsing with it 0.06 ms.  main looks the command function up on every
+# call, so one replaced after the parser was built (by a tracing wrapper, say)
+# is the one that runs.
+_parser = functools.lru_cache(maxsize=4)(build_parser)
 
 
 def main(argv=None) -> int:
+    parser = _parser(os.environ.get("FUNDCOMP_WORKERS", "1"))
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    command = {"analyze": cmd_analyze, "verify-theorem": cmd_verify_theorem,
+               "synth-bench": cmd_synth_bench, "sumset": cmd_sumset}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except InputFormatError as exc:
         print(f"fundcomp: {exc}", file=sys.stderr)
         return EXIT_INPUT

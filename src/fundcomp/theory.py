@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -187,13 +187,6 @@ def _peak_aware_edges(peaks: PeakSet, epsilon: float, period: float,
         period * np.arange(n_uniform) / n_uniform]))
 
 
-def _modulus_and_phase(poly: TrigPolynomial, norm: float, target_bin: int,
-                       t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """min(|f(t)|/||f||, 1) and e^{i omega b t} at the abscissae t."""
-    mod = np.minimum(np.abs(evaluate(poly, t)) / norm, 1.0)
-    return mod, np.exp(1j * (TWO_PI / poly.period) * target_bin * t)
-
-
 def _grown(a: np.ndarray, size: int) -> np.ndarray:
     """`a`, or a copy with room for at least `size` rows."""
     if size <= len(a):
@@ -204,16 +197,18 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
 
 
 class _RowMemo:
-    """_modulus_and_phase at bin 1, computed once per distinct row of
-    Gauss-Kronrod abscissae.
+    """min(|f(t)|/||f||, 1) and e^{i omega b t} at the abscissae t, computed
+    once per distinct row of Gauss-Kronrod abscissae.
 
     Rows are looked up by their bytes, so a hit returns exactly the values
     that evaluating the row again would give.  The uniform panels, and so
     most rows, are the same on every rung of an epsilon ladder.
     """
 
-    def __init__(self, poly: TrigPolynomial, norm: float):
-        self._poly, self._norm = poly, norm
+    def __init__(self, poly: TrigPolynomial, norm: float, target_bin: int):
+        if target_bin < 1:
+            raise ValueError("target_bin must be a positive integer")
+        self._poly, self._norm, self.target_bin = poly, norm, target_bin
         self._slot: dict[bytes, int] = {}
         self._mod = np.empty((0, _GK_NODES.size))
         self._phase = np.empty((0, _GK_NODES.size), dtype=np.complex128)
@@ -229,29 +224,24 @@ class _RowMemo:
             self._mod = _grown(self._mod, len(self._slot))
             self._phase = _grown(self._phase, len(self._slot))
             fresh = [slots[i] for i in new]
-            self._mod[fresh], self._phase[fresh] = _modulus_and_phase(
-                self._poly, self._norm, 1, rows[new])
+            x = rows[new]
+            self._mod[fresh] = np.minimum(np.abs(evaluate(self._poly, x)) / self._norm, 1.0)
+            self._phase[fresh] = np.exp(
+                1j * (TWO_PI / self._poly.period) * self.target_bin * x)
         return (self._mod[slots].reshape(np.shape(t)),
                 self._phase[slots].reshape(np.shape(t)))
 
 
 def _fundamental_integral(poly: TrigPolynomial, peaks: PeakSet, epsilon: float,
-                          target_bin: int, values=None) -> complex:
-    """numeric_fundamental_integral with the PeakSet of `poly` supplied.
-
-    `values(t)` gives _modulus_and_phase at the abscissae t; by default it
-    is computed afresh on every call.
-    """
+                          memo: _RowMemo) -> complex:
+    """numeric_fundamental_integral with the PeakSet of `poly` supplied and
+    |f| and the phase at memo's target bin looked up in `memo`."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1], 1 only as a smoke test")
-    if target_bin < 1:
-        raise ValueError("target_bin must be a positive integer")
     period = poly.period
-    if values is None:
-        values = partial(_modulus_and_phase, poly, peaks.sup_norm, target_bin)
 
     def integrand(t):
-        mod, phase = values(t)
+        mod, phase = memo(t)
         return _h_eps_kernel(mod, epsilon) * phase
 
     base = _peak_aware_edges(peaks, epsilon, period, poly.max_frequency)
@@ -266,8 +256,9 @@ def numeric_fundamental_integral(poly: TrigPolynomial, epsilon: float,
 
     epsilon = 1 is admitted as an exactness smoke test (h_1 is identically 1).
     """
-    return _fundamental_integral(poly, find_global_maxima(poly), epsilon,
-                                 target_bin)
+    peaks = find_global_maxima(poly)
+    return _fundamental_integral(poly, peaks, epsilon,
+                                 _RowMemo(poly, peaks.sup_norm, target_bin))
 
 
 def _peak_terms(peaks: PeakSet, target_bin: int) -> np.ndarray:
@@ -312,10 +303,10 @@ def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
 
     peaks = find_global_maxima(poly)
     cancels = _cancellation_ratio(peaks) < 1e-6
-    memo = _RowMemo(poly, peaks.sup_norm)
+    memo = _RowMemo(poly, peaks.sup_norm, 1)
     reports = []
     for e in eps:
-        numeric = _fundamental_integral(poly, peaks, e, 1, memo)
+        numeric = _fundamental_integral(poly, peaks, e, memo)
         pred = complex(0) if cancels else asymptotic_prediction(peaks, e)
         reports.append(AsymptoticReport(
             epsilon=e, numeric_integral=numeric, prediction=pred))
@@ -341,8 +332,9 @@ def gcd_reduction_check(poly: TrigPolynomial, epsilon: float) -> tuple[complex, 
     if g <= 1:
         raise ValueError("frequency gcd must exceed 1 for the reduction check")
     peaks = find_global_maxima(poly)
-    return (_fundamental_integral(poly, peaks, epsilon, 1),
-            _fundamental_integral(poly, peaks, epsilon, g))
+    return tuple(_fundamental_integral(poly, peaks, epsilon,
+                                       _RowMemo(poly, peaks.sup_norm, b))
+                 for b in (1, g))
 
 
 def _clipped_supports(M: FrequencySet, range_limit: int):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fundcomp import cli
 from fundcomp import io as fio
 from fundcomp.activations import EPSILON_MIN
 from fundcomp.cli import main
@@ -494,6 +495,21 @@ class TestUsage:
         assert not out.exists()
         # only synth-bench reads it
         assert main(["sumset", "--freqs", "2,3"]) == 0
+
+    def test_workers_environment_read_on_every_call(self, tmp_path, monkeypatch):
+        for i, (workers, code) in enumerate([("abc", 2), ("1", 0), ("abc", 2)]):
+            monkeypatch.setenv("FUNDCOMP_WORKERS", workers)
+            out = tmp_path / f"out{i}"
+            assert main(["synth-bench", "--trials", "1", "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+
+    def test_command_looked_up_on_every_call(self, monkeypatch):
+        """A cmd_* replaced after the parser was built is the one that runs."""
+        assert main(["sumset", "--freqs", "2,3"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sumset", lambda args: seen.append(args.kmax) or 0)
+        assert main(["sumset", "--freqs", "2,3", "--kmax", "7"]) == 0
+        assert seen == [7]
 
 
 def test_cli_import_leaves_process_pool_out():

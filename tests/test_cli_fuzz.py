@@ -1,9 +1,6 @@
 """Random argv for every subcommand: a documented exit code, no traceback and
-no NaN or Infinity in any JSON written; and the same parse, help and errors
-from the one-subcommand parser as from the full one."""
+no NaN or Infinity in any JSON written."""
 
-import contextlib
-import io
 import json
 import tempfile
 import wave
@@ -14,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fundcomp import cli
 from fundcomp import io as fio
 from fundcomp.cli import main
 from fundcomp.signal_model import SampledSignal
@@ -134,59 +130,3 @@ def test_random_argv_ends_in_a_documented_exit_code(data, argvs, capsys):
         for path in out.glob("*.jsonl"):
             for line in path.read_text().splitlines():
                 json.loads(line, parse_constant=reject_constant)
-
-
-def parse_outcome(parse, argv):
-    """(exit code, parsed options, stdout, stderr) of parse(argv)."""
-    out, err = io.StringIO(), io.StringIO()
-    code, parsed = None, None
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            parsed = vars(parse(list(argv)))
-        except SystemExit as exc:
-            code = exc.code
-    return code, parsed, out.getvalue(), err.getvalue()
-
-
-def full_parse(argv):
-    return cli.build_parser().parse_args(argv)
-
-
-@pytest.mark.parametrize("argv", [
-    [], ["-h"], ["--help"], ["--version"], ["--ver"], ["bogus"], ["verify"],
-    ["--version", "sumset"], ["-h", "analyze"],
-    *([name, "-h"] for name in cli._SUBCOMMANDS),
-    *([name, "--help"] for name in cli._SUBCOMMANDS),
-    *([name] for name in cli._SUBCOMMANDS),
-    ["analyze", "x.wav"], ["analyze", "x.wav", "y.wav"],
-    ["analyze", "x.wav", "--epsilon", "0.3", "--export", "csv,json"],
-    ["verify-theorem", "--signal", "p.json", "--eps-ladder", "1e-2,1e-4"],
-    ["verify-theorem", "--signal", "p.json", "extra"],
-    ["verify-theorem", "--signal", "p.json", "--version"],
-    ["verify-theorem", "--signal", "p.json", "-h", "--bogus"],
-    ["verify-theorem", "--sig", "p.json", "--out", "r.jsonl"],
-    ["synth-bench", "--trials", "3", "--activations", "abs,heps:0.1"],
-    ["synth-bench", "--workers", "0"], ["synth-bench", "--", "3"],
-    ["sumset", "--freqs", "6,9,33", "--kmax", "5", "--range", "40"],
-    ["sumset", "--freqs=2,3", "-5"], ["sumset", "--freqs", "2,3", "--", "x"],
-])
-def test_subcommand_parser_matches_full_parser(argv):
-    assert parse_outcome(cli._parse_args, argv) == parse_outcome(full_parse, argv)
-
-
-@pytest.mark.parametrize("workers", ["abc", "0", "2"])
-def test_workers_environment_read_on_every_call(monkeypatch, workers):
-    monkeypatch.setenv("FUNDCOMP_WORKERS", workers)
-    for argv in (["synth-bench"], ["sumset", "--freqs", "2,3"], ["-h"]):
-        assert parse_outcome(cli._parse_args, argv) == parse_outcome(full_parse, argv)
-    code, parsed, _, _ = parse_outcome(cli._parse_args, ["synth-bench"])
-    assert (code, parsed and parsed["workers"]) == (
-        (2, None) if workers in ("abc", "0") else (None, 2))
-
-
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_random_argv_parses_as_with_the_full_parser(data, argvs):
-    argv = data.draw(argvs)
-    assert parse_outcome(cli._parse_args, argv) == parse_outcome(full_parse, argv)

@@ -27,6 +27,7 @@ from fundcomp.theory import (
     sumset_support,
 )
 from theory_oracles import (
+    fundamental_integral_fresh,
     heap_quadrature,
     live_error_estimate,
     peak_aware_edges_set,
@@ -34,6 +35,7 @@ from theory_oracles import (
 )
 
 TWO_EXP = TrigPolynomial(((1, 1 + 0j), (2, 1 + 0j)))  # peak at 0, g''=-1/2, sup 2
+GCD3 = TrigPolynomial(((6, 0.8 + 0j), (9, 1.4 + 0j), (33, 0.9 + 0j)))
 EIGHT_TERMS = TrigPolynomial(((3, 0.4 - 0.2j), (7, 0.1 + 0.5j), (11, 0.7j),
                               (17, -0.5 + 0j), (23, 0.2 - 0.6j), (29, 0.3 + 0.3j),
                               (34, -0.25j), (40, 0.9 + 0j)))
@@ -171,6 +173,10 @@ class TestPeakAwareEdges:
                                   peak_aware_edges_set(peaks, eps, period, 16))
 
 
+def same_bits(a: complex, b: complex) -> bool:
+    return (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex())
+
+
 class TestLadderMemo:
     """scaling_verification evaluates |f| once per distinct panel row."""
 
@@ -191,8 +197,13 @@ class TestLadderMemo:
         res = scaling_verification(poly, LADDER)
         for r in res.reports:
             alone = numeric_fundamental_integral(poly, r.epsilon)
-            assert (r.numeric_integral.real.hex(), r.numeric_integral.imag.hex()) \
-                == (alone.real.hex(), alone.imag.hex())
+            assert same_bits(r.numeric_integral, alone)
+
+    @pytest.mark.parametrize("target_bin", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-5])
+    def test_each_bin_bit_identical_to_fresh_evaluation(self, target_bin, eps):
+        assert same_bits(numeric_fundamental_integral(GCD3, eps, target_bin),
+                         fundamental_integral_fresh(GCD3, eps, target_bin))
 
     @pytest.mark.parametrize("poly", [TWO_EXP, EIGHT_TERMS, COS])
     def test_no_row_evaluated_twice(self, poly, monkeypatch):
@@ -315,9 +326,13 @@ class TestGcdReduction:
         assert abs(b2) / max(abs(b1), 1e-300) > 10
 
     def test_gcd3_frequencies_activate_bin_3(self):
-        poly = TrigPolynomial(((6, 0.8 + 0j), (9, 1.4 + 0j), (33, 0.9 + 0j)))
-        b1, b3 = gcd_reduction_check(poly, 1e-4)
+        b1, b3 = gcd_reduction_check(GCD3, 1e-4)
         assert abs(b3) / max(abs(b1), 1e-300) > 10
+
+    def test_each_bin_bit_identical_to_fresh_evaluation(self):
+        b1, b3 = gcd_reduction_check(GCD3, 1e-4)
+        assert same_bits(b1, fundamental_integral_fresh(GCD3, 1e-4, 1))
+        assert same_bits(b3, fundamental_integral_fresh(GCD3, 1e-4, 3))
 
     def test_gcd_one_rejected(self):
         with pytest.raises(ValueError):

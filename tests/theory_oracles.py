@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from fundcomp.errors import QuadratureNonConvergence
-from fundcomp.signal_model import TWO_PI
+from fundcomp import theory
+from fundcomp.signal_model import TWO_PI, evaluate, find_global_maxima
 from fundcomp.theory import MAX_PANEL_SPLITS, FrequencySet
 
 _GK_NODES = np.array([
@@ -109,6 +110,21 @@ def peak_aware_edges_set(peaks, epsilon, period, max_frequency):
     for i in range(n_uniform):
         edges.add(period * i / n_uniform)
     return np.array(sorted(edges))
+
+
+def fundamental_integral_fresh(poly, epsilon, target_bin):
+    """theory.numeric_fundamental_integral with |f| and the phase evaluated
+    afresh on every call of the integrand, no memo."""
+    peaks = find_global_maxima(poly)
+    omega = TWO_PI / poly.period
+
+    def integrand(t):
+        mod = np.minimum(np.abs(evaluate(poly, t)) / peaks.sup_norm, 1.0)
+        return theory._h_eps_kernel(mod, epsilon) * np.exp(1j * omega * target_bin * t)
+
+    base = theory._peak_aware_edges(peaks, epsilon, poly.period, poly.max_frequency)
+    edges = np.concatenate([base, [base[0] + poly.period]])
+    return theory.adaptive_quadrature(integrand, edges, 1e-6 * epsilon ** -0.5)
 
 
 def sumset_support_bruteforce(M: FrequencySet, k: int, range_limit: int) -> set[int]:
