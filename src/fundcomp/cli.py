@@ -127,20 +127,16 @@ def _parse_export(text: str) -> set[str]:
 
 
 def _parse_eps_ladder(text: str) -> list[float]:
-    """'1e-2,1e-3' -> at least 2 strictly decreasing epsilons in
-    [smallest normal float, 0.1]; below that 1/eps overflows."""
+    """'1e-2,1e-3' -> an epsilon ladder (`theory.epsilon_ladder`)."""
     try:
         ladder = [float(e) for e in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma list of numbers") from None
-    low = sys.float_info.min
-    if len(ladder) < 2 or any(not low <= e <= 0.1 for e in ladder) or any(
-            b >= a for a, b in zip(ladder, ladder[1:])):
-        raise argparse.ArgumentTypeError(
-            f"{text!r}: need at least 2 strictly decreasing values in "
-            f"[{low:g}, 0.1]")
-    return ladder
+    try:
+        return theory.epsilon_ladder(ladder)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
 def cmd_analyze(args) -> int:

@@ -1,10 +1,10 @@
 """Synthetic benchmark: random gcd-1 cosine signals, activation sweep, stats.
 
 Synthesis contract: every trial is a cosine polynomial with integer
-frequencies below sample_rate / 2, sampled on a one-period grid of
-sample_rate samples (period 1 s, sample_rate an integer).  Its samples are
-therefore exactly the inverse rFFT of its coefficients placed in their bins
-(c_m * N/2 at bin m), which is how they are computed.
+frequencies below GRID / 2, sampled on a one-period grid of GRID samples
+(period 1 s).  Its samples are therefore exactly the inverse rFFT of its
+coefficients placed in their bins (c_m * GRID/2 at bin m), which is how they
+are computed.
 
 Reproducibility contract: trial i uses the child generator
 PCG64(SeedSequence((master_seed, i))), and no arithmetic mixes trials, so
@@ -26,6 +26,15 @@ from .errors import RejectionOverflow
 from .signal_model import TrigPolynomial
 
 RNG_ID = "numpy-pcg64/seedseq((master_seed, trial_index))"
+# The paper's experiment: one GRID-sample period per trial, K_MIN..K_MAX
+# distinct frequencies in FREQ_MIN..FREQ_MAX under a Gaussian taper of
+# standard deviation DENSITY_SCALE (see `frequency_weights`).  FREQ_MIN >= 2
+# keeps bin 1 empty, FREQ_MAX < GRID / 2 keeps every frequency below Nyquist,
+# and every pool weight is above zero, so a draw of K_MAX always finishes.
+GRID = 512
+K_MIN, K_MAX = 5, 100
+FREQ_MIN, FREQ_MAX = 2, 250
+DENSITY_SCALE = 100.0
 MAX_GCD_RESAMPLES = 10_000
 # Trials synthesized per inverse rFFT.  On 512-sample grids larger blocks
 # run no faster and raise peak memory: a 250-trial synth-bench call peaked at
@@ -49,42 +58,24 @@ DEFAULT_ACTIVATIONS = (
 class SynthConfig:
     trials: int
     master_seed: int
-    sample_rate: float = 512.0
-    k_min: int = 5
-    k_max: int = 100
-    freq_min: int = 2
-    freq_max: int = 250
-    density_scale: float = 100.0
     activations: tuple[ActivationSpec, ...] = DEFAULT_ACTIVATIONS
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.k_min > self.k_max or self.k_min < 1:
-            raise ValueError("need 1 <= k_min <= k_max")
-        if self.freq_min < 2:
-            raise ValueError("freq_min must be >= 2 so bin 1 stays empty")
-        if self.freq_max <= self.freq_min:
-            raise ValueError("freq_max must exceed freq_min")
-        if not (self.sample_rate > 0 and float(self.sample_rate).is_integer()):
-            raise ValueError("sample_rate must be a positive integer "
-                             "(samples per 1 s period)")
-        if self.freq_max >= self.sample_rate / 2:
-            raise ValueError("freq_max must lie below sample_rate / 2")
-        _sampling_pool(self.freq_min, self.freq_max, self.density_scale,
-                       self.k_max)
         object.__setattr__(self, "activations", tuple(self.activations))
 
     def as_dict(self) -> dict:
+        """The run's configuration, the fixed experiment included."""
         return {
             "trials": self.trials,
             "master_seed": self.master_seed,
-            "sample_rate": self.sample_rate,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "freq_min": self.freq_min,
-            "freq_max": self.freq_max,
-            "density_scale": self.density_scale,
+            "sample_rate": float(GRID),
+            "k_min": K_MIN,
+            "k_max": K_MAX,
+            "freq_min": FREQ_MIN,
+            "freq_max": FREQ_MAX,
+            "density_scale": DENSITY_SCALE,
             "activations": [a.label for a in self.activations],
         }
 
@@ -113,19 +104,6 @@ def frequency_weights(freq_min: int, freq_max: int,
     pool = np.arange(freq_min, freq_max + 1)
     w = np.exp(-0.5 * (pool / density_scale) ** 2)
     return pool, w / w.sum()
-
-
-def _sampling_pool(freq_min: int, freq_max: int, density_scale: float,
-                   k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """frequency_weights, checked to hold k_max frequencies of nonzero weight,
-    so that a draw without replacement can always finish."""
-    pool, probs = frequency_weights(freq_min, freq_max, density_scale)
-    drawable = int(np.count_nonzero(probs > 0))
-    if k_max > drawable:
-        raise ValueError(
-            f"k_max = {k_max} exceeds the {drawable} frequencies of nonzero "
-            f"weight in [{freq_min}, {freq_max}]")
-    return pool, probs
 
 
 def _draw_trials(rngs, pool: np.ndarray, probs: np.ndarray, k_min: int,
@@ -194,19 +172,17 @@ def _draw_trials(rngs, pool: np.ndarray, probs: np.ndarray, k_min: int,
     return np.repeat(np.arange(n), ks), freqs, amps * np.exp(1j * phases)
 
 
-def generate_synthetic(rng: np.random.Generator, *, k_min: int = 5,
-                       k_max: int = 100, freq_min: int = 2, freq_max: int = 250,
-                       density_scale: float = 100.0) -> TrigPolynomial:
+def generate_synthetic(rng: np.random.Generator) -> TrigPolynomial:
     """One random 1-periodic cosine polynomial with gcd-1 frequency support.
 
-    K ~ Uniform{k_min..k_max}; frequencies drawn without replacement from
-    [freq_min, freq_max] with weights proportional to exp(-x^2 / (2 sigma^2)),
-    sigma = density_scale (see `frequency_weights`), and rejection-resampled
+    K ~ Uniform{K_MIN..K_MAX}; frequencies drawn without replacement from
+    [FREQ_MIN, FREQ_MAX] with weights proportional to exp(-x^2 / (2 sigma^2)),
+    sigma = DENSITY_SCALE (see `frequency_weights`), and rejection-resampled
     until their gcd is 1; amplitudes in (0, 1], phases in (0, 2 pi].  The
     draw is `block_ratios`'s, for a block of one trial.
     """
-    pool, probs = _sampling_pool(freq_min, freq_max, density_scale, k_max)
-    _, freqs, coeffs = _draw_trials([rng], pool, probs, k_min, k_max)
+    pool, probs = frequency_weights(FREQ_MIN, FREQ_MAX, DENSITY_SCALE)
+    _, freqs, coeffs = _draw_trials([rng], pool, probs, K_MIN, K_MAX)
     order = np.argsort(freqs)
     terms = tuple((int(freqs[i]), coeffs[i]) for i in order)
     return TrigPolynomial(terms, period=1.0, real_cosine_form=True)
@@ -222,33 +198,29 @@ def block_ratios(config: SynthConfig, indices) -> np.ndarray:
     trial index, never on the block it shares.
     """
     indices = list(indices)
-    pool, probs = _sampling_pool(config.freq_min, config.freq_max,
-                                 config.density_scale, config.k_max)
-    n = int(config.sample_rate)
-    max_bin = min(256, n // 2)
+    pool, probs = frequency_weights(FREQ_MIN, FREQ_MAX, DENSITY_SCALE)
     out = np.empty((len(indices), len(config.activations)))
     for start in range(0, len(indices), BLOCK_TRIALS):
         block = indices[start:start + BLOCK_TRIALS]
         rows, freqs, coeffs = _draw_trials(
             [child_rng(config.master_seed, i) for i in block], pool, probs,
-            config.k_min, config.k_max)
-        spectrum = np.zeros((len(block), n // 2 + 1), dtype=np.complex128)
-        spectrum[rows, freqs] = coeffs * (n / 2)
-        x = np.fft.irfft(spectrum, n=n, axis=1)
+            K_MIN, K_MAX)
+        spectrum = np.zeros((len(block), GRID // 2 + 1), dtype=np.complex128)
+        spectrum[rows, freqs] = coeffs * (GRID / 2)
+        x = np.fft.irfft(spectrum, n=GRID, axis=1)
         for j, act in enumerate(config.activations):
             out[start:start + len(block), j] = spectral.fundamental_energy_ratio(
-                np.fft.rfft(activations.apply(act, x), axis=1), 1, max_bin)
+                np.fft.rfft(activations.apply(act, x), axis=1), 1, GRID // 2)
     return out
 
 
-def run_trials(config: SynthConfig, *, first_trial: int = 0,
-               workers: int = 1) -> dict[str, TrialStats]:
+def run_trials(config: SynthConfig, *, workers: int = 1) -> dict[str, TrialStats]:
     """Run the benchmark and aggregate per-activation statistics.
 
-    Trials cover indices [first_trial, first_trial + config.trials); results
-    do not depend on `workers`.
+    Trials cover indices [0, config.trials); results do not depend on
+    `workers`.
     """
-    indices = range(first_trial, first_trial + config.trials)
+    indices = range(config.trials)
     if workers <= 1 or len(indices) < 2 * workers:
         ratios = block_ratios(config, indices)
     else:

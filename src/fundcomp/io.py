@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import wave
@@ -199,6 +198,10 @@ def read_poly_spec_json(path) -> TrigPolynomial:
 
 
 def sha256_file(path) -> str:
+    # imported here: hashlib loads OpenSSL, 3.8 MB of RSS in every process
+    # that imports the CLI, and only analyze's manifest needs it
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -53,6 +54,9 @@ _GK_WEIGHTS = np.array([[
 ]])
 
 MAX_PANEL_SPLITS = 20000
+# Smallest epsilon the quadrature takes: the smallest normal float, so that
+# 1/eps stays finite.
+EPSILON_FLOOR = sys.float_info.min
 _BLOCK_PANELS = 64  # panels per integrand call: bounds evaluate's temporaries
 
 
@@ -133,14 +137,14 @@ def _gk_panels(fun, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return ik, np.abs(ik - ig)
 
 
-def adaptive_quadrature(fun, edges, abs_tol: float,
-                        max_splits: int = MAX_PANEL_SPLITS) -> complex:
+def adaptive_quadrature(fun, edges, abs_tol: float) -> complex:
     """Adaptive Gauss-Kronrod integration over the panels defined by `edges`.
 
     `fun` maps an abscissa array of any shape to complex values.  Each
     generation halves the worst panels, enough to cover all but abs_tol / 2
     of the total error estimate, until that total is at most abs_tol.
-    Raises QuadratureNonConvergence once over `max_splits` panels are split.
+    Raises QuadratureNonConvergence once over MAX_PANEL_SPLITS panels are
+    split.
     """
     edges = np.asarray(edges, dtype=np.float64)
     keep = edges[1:] > edges[:-1]
@@ -154,9 +158,10 @@ def adaptive_quadrature(fun, edges, abs_tol: float,
         n = 1 + np.searchsorted(np.cumsum(err[order]), total_err - 0.5 * abs_tol)
         split, kept = order[:n], order[n:]
         splits += split.size
-        if splits > max_splits:
+        if splits > MAX_PANEL_SPLITS:
             raise QuadratureNonConvergence(
-                f"error {total_err:.3e} > tol {abs_tol:.3e} after {max_splits} splits")
+                f"error {total_err:.3e} > tol {abs_tol:.3e} after "
+                f"{MAX_PANEL_SPLITS} splits")
         mid = 0.5 * (a[split] + b[split])
         a = np.concatenate([a[kept], a[split], mid])
         b = np.concatenate([b[kept], mid, b[split]])
@@ -236,8 +241,9 @@ def _fundamental_integral(poly: TrigPolynomial, peaks: PeakSet, epsilon: float,
                           memo: _RowMemo) -> complex:
     """numeric_fundamental_integral with the PeakSet of `poly` supplied and
     |f| and the phase at memo's target bin looked up in `memo`."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1], 1 only as a smoke test")
+    if not EPSILON_FLOOR <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [{EPSILON_FLOOR:g}, 1], "
+                         "1 only as a smoke test")
     period = poly.period
 
     def integrand(t):
@@ -261,29 +267,39 @@ def numeric_fundamental_integral(poly: TrigPolynomial, epsilon: float,
                                  _RowMemo(poly, peaks.sup_norm, target_bin))
 
 
-def _peak_terms(peaks: PeakSet, target_bin: int) -> np.ndarray:
-    """e^{i omega b t_j} / sqrt(-g''(t_j) / (2 ||g||)) for every peak j."""
+def _peak_terms(peaks: PeakSet) -> np.ndarray:
+    """e^{i omega t_j} / sqrt(-g''(t_j) / (2 ||g||)) for every peak j."""
     loc = np.array([p.location for p in peaks.peaks])
     g2 = np.array([p.second_derivative for p in peaks.peaks])
     if np.any(g2 >= 0):
         raise ValueError("prediction requires strictly negative g''")
     omega = TWO_PI / peaks.period
-    return np.exp(1j * omega * target_bin * loc) / np.sqrt(-g2 / (2.0 * peaks.sup_norm))
+    return np.exp(1j * omega * loc) / np.sqrt(-g2 / (2.0 * peaks.sup_norm))
 
 
-def asymptotic_prediction(peaks: PeakSet, epsilon: float,
-                          target_bin: int = 1) -> complex:
-    """Leading-order peak-sum prediction for the target Fourier coefficient."""
+def asymptotic_prediction(peaks: PeakSet, epsilon: float) -> complex:
+    """Leading-order peak-sum prediction for the bin-1 Fourier coefficient."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    total = np.sum(_peak_terms(peaks, target_bin))
+    total = np.sum(_peak_terms(peaks))
     return complex(math.pi / math.sqrt(epsilon) * total)
 
 
 def _cancellation_ratio(peaks: PeakSet) -> float:
     """|sum of peak terms| relative to the sum of their moduli."""
-    terms = _peak_terms(peaks, 1)
+    terms = _peak_terms(peaks)
     return float(abs(np.sum(terms)) / np.sum(np.abs(terms)))
+
+
+def epsilon_ladder(epsilons) -> list[float]:
+    """`epsilons` as floats, checked to be an epsilon ladder: at least 2
+    strictly decreasing values in [EPSILON_FLOOR, 0.1]."""
+    eps = [float(e) for e in epsilons]
+    if len(eps) < 2 or any(not EPSILON_FLOOR <= e <= 0.1 for e in eps) or any(
+            b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"need at least 2 strictly decreasing epsilons in "
+                         f"[{EPSILON_FLOOR:g}, 0.1]")
+    return eps
 
 
 def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
@@ -295,12 +311,7 @@ def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
     the error is the raw integral).  The peaks are found once for the whole
     ladder, and |f| once per distinct Gauss-Kronrod panel across all rungs.
     """
-    eps = [float(e) for e in epsilons]
-    if any(not 0.0 < e <= 0.1 for e in eps):
-        raise ValueError("epsilons must lie in (0, 0.1]")
-    if any(b >= a for a, b in zip(eps, eps[1:])) or len(eps) < 2:
-        raise ValueError("need at least 2 strictly decreasing epsilons")
-
+    eps = epsilon_ladder(epsilons)
     peaks = find_global_maxima(poly)
     cancels = _cancellation_ratio(peaks) < 1e-6
     memo = _RowMemo(poly, peaks.sup_norm, 1)
@@ -318,7 +329,7 @@ def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
     slope = float(np.sum(dx * (log_err - log_err.mean())) / np.sum(dx * dx))
     residual = None
     if cancels:
-        peak_scale = math.pi * float(np.sum(np.abs(_peak_terms(peaks, 1))))
+        peak_scale = math.pi * float(np.sum(np.abs(_peak_terms(peaks))))
         residual = max(abs(r.numeric_integral) * math.sqrt(r.epsilon)
                        for r in reports) / peak_scale
     return ScalingResult(reports=tuple(reports), error_slope=slope,

@@ -513,12 +513,13 @@ class TestUsage:
 
 
 def test_cli_import_leaves_process_pool_out():
-    """Only synth-bench with --workers above 1 loads concurrent.futures."""
+    """Only synth-bench with --workers above 1 loads concurrent.futures, and
+    only analyze's manifest loads hashlib."""
     src = Path(__file__).resolve().parents[1] / "src"
     probe = subprocess.run(
         [sys.executable, "-c",
          f"import sys; sys.path.insert(0, {str(src)!r}); import fundcomp.cli; "
          "print(sorted(m for m in sys.modules if m.startswith("
-         "('concurrent', 'multiprocessing'))))"],
+         "('concurrent', 'multiprocessing', 'hashlib'))))"],
         capture_output=True, text=True, check=True, timeout=60)
     assert probe.stdout.strip() == "[]"

@@ -8,6 +8,11 @@
 - Every public method, property and dataclass field of a public class is
   read as an attribute by package code outside its own definition, matched
   by name.  MEMBER_ENTRY_POINTS lists the exceptions.
+- Every defaulted parameter of a public function or method, and every
+  defaulted field of a public dataclass, is set by some package call outside
+  its own function, by keyword or by position, matched by name; `cls(...)`
+  in a classmethod calls its class.  A value nothing sets is a constant.
+  PARAMETER_ENTRY_POINTS lists the exceptions.
 """
 
 import ast
@@ -34,6 +39,16 @@ ENTRY_POINTS = {
 MEMBER_ENTRY_POINTS = {
     # the acceptance fourier-plumbing check
     ("spectral", "Spectrum", "magnitudes"),
+}
+
+# Defaulted parameters that no package call sets, kept as entry points.
+PARAMETER_ENTRY_POINTS = {
+    # the command line: the console script calls main() on sys.argv
+    ("cli", "main", "argv"),
+    # the acceptance tail-integral check, and the integral at any bin that
+    # gcd_reduction_check's bin-1 and bin-G integrals are
+    ("theory", "cauchy_tail_integral", "C"),
+    ("theory", "numeric_fundamental_integral", "target_bin"),
 }
 
 
@@ -133,3 +148,74 @@ def test_every_public_member_is_read():
     assert not unlisted, f"public but no package code reads them: {unlisted}"
     stale = sorted(".".join(m) for m in MEMBER_ENTRY_POINTS - unread)
     assert not stale, f"listed as member entry points but read: {stale}"
+
+
+def _decorators(node):
+    return {ast.unparse(d.func if isinstance(d, ast.Call) else d)
+            for d in node.decorator_list}
+
+
+def _defaulted_parameters(module, tree):
+    """((module, owner, name), callee name, position, definition) of each
+    defaulted parameter of a public function or method, self and cls not
+    counted, and of each defaulted field of a public dataclass; keyword-only
+    parameters have no position."""
+    funcs = [(stmt.name, stmt, False) for stmt in tree.body
+             if isinstance(stmt, ast.FunctionDef)]
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        funcs += [(f"{cls.name}.{stmt.name}", stmt,
+                   "staticmethod" not in _decorators(stmt))
+                  for stmt in cls.body if isinstance(stmt, ast.FunctionDef)]
+        if "dataclass" in _decorators(cls):
+            fields = [stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)]
+            for i, field in enumerate(fields):
+                if field.value is not None:
+                    yield (module, cls.name, field.target.id), cls.name, i, cls
+    for owner, func, bound in funcs:
+        if func.name.startswith("_"):
+            continue
+        args = func.args
+        positional = (args.posonlyargs + args.args)[bound:]
+        for i, arg in enumerate(positional):
+            if i >= len(positional) - len(args.defaults):
+                yield (module, owner, arg.arg), func.name, i, func
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield (module, owner, arg.arg), func.name, None, func
+
+
+def _calls(node, enclosing=(), cls_name=None):
+    """(callee name, positional count, keyword names, enclosing functions) of
+    each call in node; inside a class, `cls(...)` calls that class."""
+    if isinstance(node, ast.FunctionDef):
+        enclosing += (node,)
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        yield (cls_name if name == "cls" else name, len(node.args),
+               {k.arg for k in node.keywords}, enclosing)
+    if isinstance(node, ast.ClassDef):
+        cls_name = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, enclosing, cls_name)
+
+
+def test_every_defaulted_parameter_is_set():
+    calls = [c for tree in MODULES.values() for c in _calls(tree)]
+    unset = set()
+    for module, tree in MODULES.items():
+        for key, name, position, definition in _defaulted_parameters(module, tree):
+            # a call inside the function itself (recursion) sets nothing
+            if not any(callee == name and definition not in enclosing
+                       and (key[2] in keywords
+                            or position is not None and n_args > position)
+                       for callee, n_args, keywords, enclosing in calls):
+                unset.add(key)
+    unlisted = sorted(f"{m}.{o}({p})" for m, o, p in unset - PARAMETER_ENTRY_POINTS)
+    assert not unlisted, f"defaulted but no package call sets them: {unlisted}"
+    # a parameter that gained a setter, or is gone, leaves the list
+    stale = sorted(f"{m}.{o}({p})" for m, o, p in PARAMETER_ENTRY_POINTS - unset)
+    assert not stale, f"listed as parameter entry points but set: {stale}"

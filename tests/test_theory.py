@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -128,11 +129,11 @@ class TestAdaptiveQuadrature:
         assert live_error_estimate(fun, calls) <= tol
         assert live_error_estimate(fun, calls[:-1]) > tol
 
-    def test_split_budget_exhausted(self):
-        with pytest.raises(QuadratureNonConvergence):
+    def test_split_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(theory, "MAX_PANEL_SPLITS", 4)
+        with pytest.raises(QuadratureNonConvergence, match="after 4 splits"):
             adaptive_quadrature(self.integrand([]),
-                                np.linspace(0, 2 * math.pi, 9), 1e-8,
-                                max_splits=4)
+                                np.linspace(0, 2 * math.pi, 9), 1e-8)
 
     @pytest.mark.parametrize("poly", [
         TWO_EXP,
@@ -286,10 +287,12 @@ class TestScalingVerification:
             assert r.rel_error == r.abs_error / abs(r.prediction)
 
     def test_ladder_validation(self):
-        with pytest.raises(ValueError):
-            scaling_verification(TWO_EXP, [1e-3, 1e-2])
-        with pytest.raises(ValueError):
-            scaling_verification(TWO_EXP, [0.5, 0.1])
+        for bad in ([1e-3, 1e-2], [0.5, 0.1], [0.1], [0.1, 0.1], [0.1, math.nan]):
+            with pytest.raises(ValueError):
+                scaling_verification(TWO_EXP, bad)
+        # the smallest normal float is the ladder's lower end, inclusive
+        low = sys.float_info.min
+        assert theory.epsilon_ladder(["0.1", low]) == [0.1, low]
 
     def test_peaks_found_once_per_input(self, monkeypatch):
         calls = []
@@ -337,6 +340,20 @@ class TestGcdReduction:
     def test_gcd_one_rejected(self):
         with pytest.raises(ValueError):
             gcd_reduction_check(TWO_EXP, 1e-4)
+
+
+class TestEpsilonFloor:
+    """Below the smallest normal float 1/eps overflows: every entry point
+    raises instead of returning NaN."""
+
+    @pytest.mark.parametrize("eps", [1e-310, 5e-324])
+    def test_subnormal_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError):
+            scaling_verification(TWO_EXP, [1e-2, eps])
+        with pytest.raises(ValueError):
+            numeric_fundamental_integral(TWO_EXP, eps)
+        with pytest.raises(ValueError):
+            gcd_reduction_check(GCD3, eps)
 
 
 class TestSumsets:
