@@ -154,9 +154,9 @@ def cmd_analyze(args) -> int:
 
     activated = SampledSignal(activations.apply(spec, signal.samples), rate)
     spectrum = spectral.dft(activated)
-    spg = spectral.stft(activated, window, hop, fft_length)
+    spg = spectral.Stft(activated, window, hop, fft_length)
     max_bin = min(256, len(spectrum.bins) - 1)
-    # half a bin apart always reaches a bin (band_energy_ratio)
+    # half a bin apart always reaches a bin (spectral.BandEnergy)
     half_width = args.half_width if args.half_width else max(
         0.2, spg.freq_step / 2)
     ratio = spectral.fundamental_energy_ratio(spectrum.bins, 1, max_bin)
@@ -170,30 +170,48 @@ def cmd_analyze(args) -> int:
         "stft": {"window": window, "hop": hop, "fft_length": fft_length,
                  "window_descriptor": spg.window_descriptor},
     }
+    exports = args.export
+    spectrogram_files = "csv" in exports or "pgm" in exports
+    # pass 1 over the STFT blocks: the report's band ratio and the exports'
+    # clip range, before any file is written
+    reducers = []
+    if spectrogram_files:
+        clip = spectral.DynamicRange(spg.n_frames * spg.n_bins)
+        reducers.append(clip)
     if args.if_curve:
         curve = io.read_if_curve_csv(args.if_curve)
         if curve.size != spg.n_frames:
             raise InputFormatError(
                 f"{args.if_curve}: {curve.size} IF values for {spg.n_frames} frames")
         duration = len(signal) / rate
-        report["band_energy_ratio"] = spectral.band_energy_ratio(
-            spg, curve, half_width=half_width,
+        band = spectral.BandEnergy(
+            spg.freq_step, spg.n_bins, curve, half_width,
             band_floor=1.0 / duration, band_ceiling=rate / 2.0)
-    spectral.dynamic_range_clip(spg)
+        reducers.append(band)
+    for block in spg.blocks() if reducers else ():
+        for reducer in reducers:
+            reducer.add(block)
+    if args.if_curve:
+        report["band_energy_ratio"] = band.ratio()
+    # a report that cannot be written (a NaN) fails before any file is
+    report_text = (json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+                   if "json" in exports else None)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    exports = args.export
     if "csv" in exports:
         io.write_signal_csv(activated, out / "activated_signal.csv")
         spectral.spectrum_to_csv(spectrum, out / "spectrum.csv")
-        spectral.spectrogram_to_csv(spg, out / "spectrogram.csv")
-    if "pgm" in exports:
-        spectral.spectrogram_to_pgm(spg, out / "spectrogram.pgm")
+    if spectrogram_files:
+        # pass 2: the same blocks again, clipped and appended to the files
+        lo, hi = clip.limits()
+        spectral.write_spectrogram(
+            spg.blocks(), (spg.n_frames, spg.n_bins), lo, hi,
+            out / "spectrogram.csv" if "csv" in exports else None,
+            out / "spectrogram.pgm" if "pgm" in exports else None)
     if "json" in exports:
         with open(out / "report.json", "w", encoding="ascii", newline="\n") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
+            fh.write(report_text + "\n")
     _write_manifest(out, "analyze", {
         "input": str(args.input), "activation": spec.label,
         "epsilon": args.epsilon, "window": window, "hop": hop,

@@ -14,6 +14,7 @@ scheduled across workers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -262,8 +263,15 @@ def write_summary_json(stats: dict[str, TrialStats], config: SynthConfig, fh) ->
     fh.write("\n")
 
 
-def write_histogram_csv(s: TrialStats, fh) -> None:
-    fh.write("bin_lo,bin_hi,count\n")
+@functools.cache
+def _histogram_row_prefixes() -> tuple[str, ...]:
+    """'bin_lo,bin_hi,' of each histogram row, formatted at the first write
+    and kept for every later one."""
     edges = HIST_EDGES.tolist()
-    for lo, hi, c in zip(edges, edges[1:], s.histogram_counts):
-        fh.write(f"{lo:.17g},{hi:.17g},{c}\n")
+    return tuple(f"{lo:.17g},{hi:.17g}," for lo, hi in zip(edges, edges[1:]))
+
+
+def write_histogram_csv(s: TrialStats, fh) -> None:
+    fh.write("bin_lo,bin_hi,count\n" + "".join(
+        f"{prefix}{c}\n"
+        for prefix, c in zip(_histogram_row_prefixes(), s.histogram_counts)))

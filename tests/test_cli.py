@@ -3,13 +3,14 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fundcomp import cli
+from fundcomp import cli, spectral
 from fundcomp import io as fio
 from fundcomp.activations import EPSILON_MIN
 from fundcomp.cli import main
@@ -221,6 +222,81 @@ class TestAnalyze:
                      "--export", "json", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["half_width"] == 0.3
+
+    def test_empty_band_leaves_no_output(self, tmp_path):
+        # frame 3's IF lies far above the 32 Hz Nyquist frequency, so its
+        # band holds no bin: exit 4 before any file is written
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src, freq=2, rate=64, duration=8.0)
+        curve = tmp_path / "if.csv"
+        curve.write_text("2.0\n" * 3 + "500.0\n" + "2.0\n" * 60)
+        out = tmp_path / "out"
+        assert main(["analyze", str(src), "--window", "128", "--hop", "8",
+                     "--fft-length", "512", "--if-curve", str(curve),
+                     "--out", str(out)]) == 4
+        assert not (out / "spectrogram.csv").exists()
+        assert not (out / "report.json").exists()
+
+    def test_nan_report_leaves_no_output(self, tmp_path):
+        # finite samples whose spectrum overflows make the report's ratio NaN,
+        # which JSON cannot hold: exit 4 before any file is written
+        src = tmp_path / "huge.csv"
+        x = 1e200 * np.cos(np.arange(512) * 0.3)
+        src.write_text("sample_rate,64\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["analyze", str(src), "--activation", "abs",
+                         "--window", "128", "--hop", "8", "--fft-length", "512",
+                         "--out", str(out)]) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("export,if_curve,sweeps", [
+        ("csv,pgm,json", True, 2), ("pgm", False, 2), ("json", True, 1),
+        ("json", False, 0)])
+    def test_stft_sweeps(self, tmp_path, monkeypatch, export, if_curve, sweeps):
+        # pass 1 runs for the band ratio or the clip range, pass 2 only to
+        # write spectrogram.csv or spectrogram.pgm
+        calls = []
+        blocks = spectral.Stft.blocks
+
+        def counted(self):
+            calls.append(1)
+            return blocks(self)
+
+        monkeypatch.setattr(spectral.Stft, "blocks", counted)
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src, freq=2, rate=64, duration=8.0)
+        curve = tmp_path / "if.csv"
+        curve.write_text("2.0\n" * 64)
+        argv = ["analyze", str(src), "--window", "128", "--hop", "8",
+                "--fft-length", "512", "--export", export, "--out",
+                str(tmp_path / "out")]
+        assert main(argv + (["--if-curve", str(curve)] if if_curve else [])) == 0
+        assert len(calls) == sweeps
+
+    def test_peak_allocation_does_not_grow_with_length(self, tmp_path):
+        # the 1 kHz defaults: window 2 s, hop 0.1 s, 1025 bins. A |V|^2
+        # matrix grows by 8.2 kB a frame, the signal by 0.8 kB; the peak may
+        # grow only with copies of the signal (about 4 of them)
+        peaks = {}
+        # k = 1 twice: a first export in the process also fills the CSV
+        # formatter's tables
+        for k in (1, 1, 2, 4):
+            src = tmp_path / f"tone{k}.wav"
+            write_tone_wav(src, freq=3, rate=1000, duration=8.0 * k)
+            curve = tmp_path / f"if{k}.csv"
+            curve.write_text("3.0\n" * (80 * k))
+            argv = ["analyze", str(src), "--if-curve", str(curve),
+                    "--out", str(tmp_path / f"out{k}")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        signal_bytes = 8 * 8000
+        for k in (2, 4):
+            assert peaks[k] - peaks[1] <= 6 * (k - 1) * signal_bytes, peaks
 
     def test_nan_sample_exits_input_error(self, tmp_path):
         src = tmp_path / "tone.csv"

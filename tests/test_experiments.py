@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -12,16 +13,19 @@ from fundcomp.experiments import (
     FREQ_MAX,
     FREQ_MIN,
     GRID,
+    HIST_EDGES,
     K_MAX,
     K_MIN,
     MAX_GCD_RESAMPLES,
     SynthConfig,
+    TrialStats,
     _draw_trials,
     block_ratios,
     child_rng,
     frequency_weights,
     generate_synthetic,
     run_trials,
+    write_histogram_csv,
 )
 from fundcomp.signal_model import SampledSignal, TrigPolynomial, sample
 from fundcomp.spectral import dft, fundamental_energy_ratio
@@ -244,6 +248,21 @@ class TestRunTrials:
         assert K_MIN <= K_MAX
         _, probs = frequency_weights(FREQ_MIN, FREQ_MAX, DENSITY_SCALE)
         assert np.count_nonzero(probs > 0) >= K_MAX
+
+    def test_histogram_csv_matches_per_row_formatting(self):
+        # the edge prefixes are formatted once per process; every write,
+        # the first and a later one, prints what formatting each row does
+        counts = tuple(range(7, 207))
+        edges = HIST_EDGES.tolist()
+        want = "bin_lo,bin_hi,count\n" + "".join(
+            f"{lo:.17g},{hi:.17g},{c}\n"
+            for lo, hi, c in zip(edges, edges[1:], counts))
+        for _ in range(2):
+            fh = io.StringIO()
+            write_histogram_csv(TrialStats(median=0.0, mad=0.0,
+                                           histogram_counts=counts,
+                                           trials_run=sum(counts)), fh)
+            assert fh.getvalue() == want
 
     def test_as_dict_golden(self):
         got = SynthConfig(trials=250, master_seed=7).as_dict()
