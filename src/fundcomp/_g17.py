@@ -17,13 +17,19 @@ floating point conversion", OOPSLA 2019), in four steps:
    (subnormals, |x| >= 1e308, |x| < 1e-292).
 2. Layout.  The digits come from a 10 000-entry table of 4-character groups.
    Each value becomes a 32-byte row of four uint64 words (byte 0 in the low
-   byte): the sign and the "0.000" prefix, the digits with '.' inserted and
-   trailing zeros dropped as `%g` does, the `e+XX` suffix of the exponent
-   form, and the separator.  Everything is shifts and masks.
+   byte).  Word 0 ends with the sign and the "0.000" prefix, so the digit
+   part starts at byte 8 of every row and is never shifted: the digits with
+   '.' inserted and trailing zeros dropped as `%g` does, then the `e+XX`
+   suffix of the exponent form and the separator.  Everything is shifts and
+   masks, with the masks looked up by exponent, sign and digit count.
 3. Values that step 1 did not certify are formatted one by one by
-   `'%.17g' %` instead.
-4. The rows, sorted by length, are copied to their offsets in the output,
-   one length at a time, as items of exactly that many bytes.
+   `'%.17g' %` instead, into the same place in their rows.
+4. Join.  Each row is zero outside its text.  With K the fewest consecutive
+   rows whose 32-byte items never overlap once each is placed at its text's
+   offset (at most 16), row i goes whole to zeroed buffer i mod K in one
+   assignment per buffer, and the K buffers are OR-ed together.  No two
+   items in a buffer overlap, so the result does not depend on the order in
+   which numpy writes them.
 
 Shifts by 64 bits or more give 0 in numpy on every platform (unlike C); the
 word arithmetic relies on it.
@@ -105,42 +111,55 @@ def _digit_groups():
 
 
 def _exponent_layout():
-    """By exponent: %g's form, the '.' position, the prefix and the suffix."""
-    point, prefix, suffix = [], [], []
+    """By exponent and sign (index 2 j + sign): 18 times the '.' position
+    (0 for none), the word that ends with the sign and the prefix, their
+    length, the suffix and its bit length, and the count of bytes in the
+    text that are not in the digit part, the separator included."""
+    point, prefix, head, suffix, shift, extra = [], [], [], [], [], []
     for x in range(E_MIN, E_MAX + 1):
-        if x < -4 or x > 16:                  # d.ddde+XX
-            point.append(1)
-            prefix.append(b"")
-            suffix.append(b"e%+03d" % x)
-        elif x < 0:                           # 0.000ddd: "0." leads, no '.' later
-            point.append(0)
-            prefix.append(b"0." + b"0" * (-x - 1))
-            suffix.append(b"")
-        else:
-            point.append(x + 1)
-            prefix.append(b"")
-            suffix.append(b"")
-    words = [int.from_bytes(t, "little") for t in prefix + suffix]
-    lengths = [len(t) for t in prefix + suffix]
-    n = len(point)
-    return (np.array(point), np.array(words[:n], dtype=_U64), np.array(lengths[:n]),
-            np.array(words[n:], dtype=_U64), np.array(lengths[n:], dtype=_U64))
+        for sign in (b"", b"-"):
+            if x < -4 or x > 16:              # d.ddde+XX
+                k, p, t = 1, b"", b"e%+03d" % x
+            elif x < 0:                       # 0.000ddd: "0." leads, no '.' later
+                k, p, t = 0, b"0." + b"0" * (-x - 1), b""
+            else:
+                k, p, t = x + 1, b"", b""
+            p = sign + p
+            point.append(18 * k)
+            prefix.append(int.from_bytes(p.rjust(8, b"\0"), "little"))
+            head.append(len(p))
+            suffix.append(int.from_bytes(t, "little"))
+            shift.append(8 * len(t))
+            extra.append(len(p) + len(t) + 1)
+    return (np.array(point), np.array(prefix, dtype=_U64), np.array(head),
+            np.array(suffix, dtype=_U64), np.array(shift, dtype=_U64),
+            np.array(extra))
 
 
 def _digit_masks():
-    """Per word of the digit part, by k ('.' after k digits) and, at
-    k * 19 + ld, by the part's length ld: the digits kept in place, the
-    digits moved one byte up past the '.', and the '.' itself."""
-    pairs = [(k, ld) for k in range(18) for ld in range(19)]
+    """Per word of the digit part, by k * 18 + nd ('.' after k digits, none
+    for k = 0, and nd digits without trailing zeros): the digits kept in
+    place, the digits moved one byte up past the '.', and the '.' itself;
+    and the part's length."""
+    cases = []                                # (bytes kept, length, '.')
+    for k in range(18):
+        for nd in range(18):
+            if k == 0:                        # 0.000ddd: the prefix has the '.'
+                cases.append((nd, nd, False))
+            elif nd > k:
+                cases.append((k, nd + 1, True))
+            else:                             # an integer of k digits
+                cases.append((k, k, False))
     keep, move, dot = [], [], []
     for w in range(3):
         # low[n]: bytes [0, n) of the string, those in word w
         low = [(1 << 8 * min(max(n - 8 * w, 0), 8)) - 1 for n in range(20)]
-        keep.append(np.array(low[:18], dtype=_U64))
-        move.append(np.array([low[ld] & ~low[k + 1] for k, ld in pairs], dtype=_U64))
-        dot.append(np.array([0x2E2E_2E2E_2E2E_2E2E & low[ld] & (low[k + 1] - low[k])
-                             for k, ld in pairs], dtype=_U64))
-    return keep, move, dot
+        keep.append(np.array([low[n] for n, _, _ in cases], dtype=_U64))
+        move.append(np.array([(low[ld] & ~low[n + 1]) * has for n, ld, has in cases],
+                             dtype=_U64))
+        dot.append(np.array([(0x2E2E_2E2E_2E2E_2E2E & (low[n + 1] - low[n])) * has
+                             for n, _, has in cases], dtype=_U64))
+    return keep, move, dot, np.array([ld for _, ld, _ in cases])
 
 
 # The tables are allocated at import, while the heap is still small, and
@@ -153,10 +172,10 @@ def _digit_masks():
 _N_EXP = E_MAX - E_MIN + 1
 _POW_HI, _POW_LO = np.empty(_N_EXP), np.empty(_N_EXP)
 _DIG4, _TZ4 = np.empty(10000, _U64), np.empty(10000, np.int64)
-_POINT, _PREFIX_LEN = np.empty(_N_EXP, np.int64), np.empty(_N_EXP, np.int64)
-_PREFIX, _SUFFIX, _SUFFIX_LEN = (np.empty(_N_EXP, _U64) for _ in range(3))
-_KEEP = [np.empty(18, _U64) for _ in range(3)]
-_MOVE, _DOT = ([np.empty(18 * 19, _U64) for _ in range(3)] for _ in range(2))
+_POINT, _HEAD, _EXTRA = (np.empty(2 * _N_EXP, np.int64) for _ in range(3))
+_PREFIX, _SUFFIX, _SUFFIX_SHIFT = (np.empty(2 * _N_EXP, _U64) for _ in range(3))
+_KEEP, _MOVE, _DOT = ([np.empty(18 * 18, _U64) for _ in range(3)] for _ in range(3))
+_DIGITS_LEN = np.empty(18 * 18, np.int64)
 _filled = False
 
 
@@ -167,12 +186,14 @@ def _fill_tables() -> None:
     for dsts, srcs in tables:
         for dst, src in zip(dsts, srcs):
             dst[...] = src
-    layout = (_POINT, _PREFIX, _PREFIX_LEN, _SUFFIX, _SUFFIX_LEN)
+    layout = (_POINT, _PREFIX, _HEAD, _SUFFIX, _SUFFIX_SHIFT, _EXTRA)
     for dst, src in zip(layout, _exponent_layout()):
         dst[...] = src
-    for dsts, srcs in zip((_KEEP, _MOVE, _DOT), _digit_masks()):
+    *masks, digits_len = _digit_masks()
+    for dsts, srcs in zip((_KEEP, _MOVE, _DOT), masks):
         for dst, src in zip(dsts, srcs):
             dst[...] = src
+    _DIGITS_LEN[...] = digits_len
     _filled = True
 
 
@@ -228,90 +249,107 @@ def _digit_words(d: np.ndarray):
     return words, 17 - tz
 
 
-def _layout(words, nd, j, neg, seps):
-    """Rows of four words holding each value's text, and the text's length."""
-    # '.' after k digits; the digit part is ld bytes (no '.' when ld <= k)
-    k = _POINT.take(j)
-    k += (k == 0) * nd
-    ld = np.maximum(nd, k)
-    ld += nd > k
-    kl = k * 19
-    kl += ld
-    body = []
+def _layout(words, nd, js, seps):
+    """Rows of four words holding each value's text, the text's length, and
+    its head: how many of its bytes lie in word 0.  js is 2 j + sign.
+
+    Word 0 ends with the sign and the prefix, so that the digit part starts
+    at byte 8 of every row; the suffix and the separator follow it."""
+    kn = _POINT.take(js)
+    kn += nd
+    ld = _DIGITS_LEN.take(kn)
+    suffix = seps << _SUFFIX_SHIFT.take(js)
+    suffix |= _SUFFIX.take(js)
+    bit = (ld << 3).view(_U64)
+    rows = np.empty((ld.size, 4), dtype=_U64)
+    rows[:, 0] = _PREFIX.take(js)
     for w, (keep, move, dot) in enumerate(zip(_KEEP, _MOVE, _DOT)):
         part = words[w] << _U64(8)
         if w:
             part |= words[w - 1] >> _U64(56)
-        part &= move.take(kl)
-        part |= dot.take(kl)
-        part |= words[w] & keep.take(k)
-        body.append(part)
-
-    # lp prefix bytes, ld digit bytes, then the suffix and the separator
-    suffix_len = _SUFFIX_LEN.take(j)
-    suffix = seps << (suffix_len * _U64(8))
-    suffix |= _SUFFIX.take(j)
-    prefix = _PREFIX.take(j) << (neg * _U64(8))
-    prefix |= neg * _U64(0x2D)
-    lp = _PREFIX_LEN.take(j)
-    lp += neg
-    ld += lp
-    shift = (lp * 8).view(_U64)
-    back = _U64(64) - shift
-    bit = (ld * 8).view(_U64)
-    rows = np.empty((ld.size, 4), dtype=_U64)
-    w = body[0] << shift
-    w |= prefix
-    w |= suffix << bit
-    rows[:, 0] = w
-    for i in (1, 2):
-        w = body[i] << shift
-        w |= body[i - 1] >> back
-        w |= (suffix << (bit - _U64(64 * i))) | (suffix >> (_U64(64 * i) - bit))
-        rows[:, i] = w
-    rows[:, 3] = suffix >> (_U64(192) - bit)
-    ld += suffix_len.view(np.int64) + 1
-    return rows, ld
+        part &= move.take(kn)
+        part |= dot.take(kn)
+        part |= words[w] & keep.take(kn)
+        if w:
+            at = _U64(64 * w)
+            part |= suffix >> (at - bit)
+            np.bitwise_or(part, suffix << (bit - at), out=rows[:, w + 1])
+        else:
+            np.bitwise_or(part, suffix << bit, out=rows[:, 1])
+    ld += _EXTRA.take(js)
+    return rows, ld, _HEAD.take(js)
 
 
-def _join(rows: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The first length[i] bytes of each row, concatenated.
+def _buffer_count(at: np.ndarray) -> int:
+    """The fewest K for which the 32-byte items of `_join`, at byte offsets
+    at[i] and at[i + K], never overlap.
 
-    Rows of one length are copied in one assignment as items of that many
-    bytes; no two items overlap, so the order of the copies does not matter.
+    at[i + K] - at[i] is the length of texts i to i + K - 1 plus the
+    difference of two heads.  A text has at most 25 bytes and a head at
+    most 6, so K = 1 never serves two texts; each text has at least two
+    bytes from byte 8 of its row on, so 16 items span 32 bytes.
     """
-    ends = np.cumsum(length)
-    out = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    order = np.argsort(length.astype(np.uint8), kind="stable")
-    starts = (ends - length).take(order)
-    rows = rows.take(order, axis=0)
-    first = 0
-    for n, count in enumerate(np.bincount(length, minlength=33).tolist()):
-        if not count:
-            continue
-        dst = np.ndarray((out.size - n + 1,), dtype=f"V{n}", buffer=out, strides=(1,))
-        dst[starts[first:first + count]] = np.ndarray(
-            (count,), dtype=f"V{n}", buffer=rows, offset=32 * first, strides=(32,))
-        first += count
-    return out
+    n = at.size
+    k = min(n, 2) or 1
+    while k < min(n, 16) and (at[k:] - at[:-k]).min() < 32:
+        k += 1
+    return k
 
 
-def format_g17(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
-    """The bytes of b''.join(b'%.17g' % v + sep for v, sep in zip(values, seps))
-    as a uint8 array, for 1-D float64 values and uint64 separator bytes."""
+def _join(rows: np.ndarray, length: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Bytes [8 - head[i], 8 - head[i] + length[i]) of each row, concatenated.
+
+    Row i is written whole, as one 32-byte item, to zeroed buffer i mod K
+    (`_buffer_count`): no two items in a buffer overlap, so the order of the
+    writes does not matter.  Every row is zero outside its text, so OR-ing
+    the buffers together gives the output.
+    """
+    n = length.size
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(length, out=starts[1:])
+    total = int(starts[-1])
+    # item i at buffer byte at[i]; output byte 0 is buffer byte 8
+    at = starts[:n] + head
+    k = _buffer_count(at)
+    width = -(-(total + 32) // 8)
+    buffers = np.zeros((k, width), dtype=_U64)
+    items = rows.view("V32").ravel()
+    for r in range(k):
+        dst = np.ndarray((8 * width - 31,), dtype="V32", buffer=buffers[r], strides=(1,))
+        dst[at[r::k]] = items[r::k]
+    out = buffers[0]
+    for r in range(1, k):
+        out |= buffers[r]
+    return out.view(np.uint8)[8:8 + total]
+
+
+def _rows(values: np.ndarray, seps: np.ndarray):
+    """`_layout`'s rows, lengths and heads for 1-D float64 values and uint64
+    separator bytes; a value that step 1 did not certify gets the text of
+    '%.17g' % in its row, from byte 8 on after its sign."""
     if not _filled:
         _fill_tables()
     with np.errstate(all="ignore"):
         d, j, ok = _significands(np.abs(values))
     words, nd = _digit_words(d)
     del d
-    rows, length = _layout(words, nd, j, np.signbit(values), seps)
-    del words, nd, j
+    js = j << 1
+    js -= values.view(np.int64) >> 63
+    rows, length, head = _layout(words, nd, js, seps)
+    del words, nd, j, js
     bad = np.flatnonzero(~ok)
     if bad.size:
         text = [b"%.17g%c" % (v, s)
                 for v, s in zip(values[bad].tolist(), seps[bad].tolist())]
-        length[bad] = [len(s) for s in text]
-        rows[bad] = np.frombuffer(b"".join(s.ljust(32, b"\0") for s in text),
-                                  dtype="<u8").reshape(-1, 4)
-    return _join(rows.astype("<u8", copy=False), length)
+        length[bad] = [len(t) for t in text]
+        head[bad] = [t[0] == 0x2D for t in text]
+        rows[bad] = np.frombuffer(
+            b"".join(t.rjust(len(t) + 8 - (t[0] == 0x2D), b"\0").ljust(32, b"\0")
+                     for t in text), dtype="<u8").reshape(-1, 4)
+    return rows.astype("<u8", copy=False), length, head
+
+
+def format_g17(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The bytes of b''.join(b'%.17g' % v + sep for v, sep in zip(values, seps))
+    as a uint8 array, for 1-D float64 values and uint64 separator bytes."""
+    return _join(*_rows(values, seps))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -139,6 +140,15 @@ def _parse_eps_ladder(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
+def _finite(what: str, value: float) -> float:
+    """value, or a numeric error: a NaN or an infinity, from a spectrum whose
+    energy overflows, would otherwise fill the exports."""
+    if not math.isfinite(value):
+        raise FundcompError(f"{what} is {value}: the spectrum's energy "
+                            f"overflows float64")
+    return value
+
+
 def cmd_analyze(args) -> int:
     signal = io.read_signal(args.input)
     rate = signal.sample_rate
@@ -159,7 +169,8 @@ def cmd_analyze(args) -> int:
     # half a bin apart always reaches a bin (spectral.BandEnergy)
     half_width = args.half_width if args.half_width else max(
         0.2, spg.freq_step / 2)
-    ratio = spectral.fundamental_energy_ratio(spectrum.bins, 1, max_bin)
+    ratio = _finite("the fundamental energy ratio",
+                    spectral.fundamental_energy_ratio(spectrum.bins, 1, max_bin))
 
     report = {
         "activation": spec.label,
@@ -192,8 +203,9 @@ def cmd_analyze(args) -> int:
         for reducer in reducers:
             reducer.add(block)
     if args.if_curve:
-        report["band_energy_ratio"] = band.ratio()
-    # a report that cannot be written (a NaN) fails before any file is
+        report["band_energy_ratio"] = _finite("the band energy ratio", band.ratio())
+    if spectrogram_files:
+        lo, hi = (_finite("the spectrogram's clip limit", v) for v in clip.limits())
     report_text = (json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
                    if "json" in exports else None)
 
@@ -204,7 +216,6 @@ def cmd_analyze(args) -> int:
         spectral.spectrum_to_csv(spectrum, out / "spectrum.csv")
     if spectrogram_files:
         # pass 2: the same blocks again, clipped and appended to the files
-        lo, hi = clip.limits()
         spectral.write_spectrogram(
             spg.blocks(), (spg.n_frames, spg.n_bins), lo, hi,
             out / "spectrogram.csv" if "csv" in exports else None,

@@ -12,9 +12,10 @@ from ._g17 import format_g17
 from .errors import InputFormatError
 from .signal_model import SampledSignal, TrigPolynomial, TWO_PI
 
-# _write_rows formats this many values at a time. Its transients, about 200
-# bytes a value, stay in the heap after an export; at 8192 values they raised
-# analyze's peak RSS by 0.7 MB over repeated calls, at 4096 to 6144 by 0.1.
+# _write_rows formats this many values at a time. Its transients, about 150
+# bytes a value, stay in the heap after an export; at 200 bytes a value,
+# 8192-value chunks raised analyze's peak RSS by 0.7 MB over repeated calls,
+# and 4096 to 6144 by 0.1.
 _CSV_CHUNK_VALUES = 6144
 
 

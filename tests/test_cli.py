@@ -237,18 +237,30 @@ class TestAnalyze:
         assert not (out / "spectrogram.csv").exists()
         assert not (out / "report.json").exists()
 
-    def test_nan_report_leaves_no_output(self, tmp_path):
-        # finite samples whose spectrum overflows make the report's ratio NaN,
-        # which JSON cannot hold: exit 4 before any file is written
+    @staticmethod
+    def analyze_overflowing(tmp_path, *options):
+        """analyze's exit code on finite samples whose spectrum's energy
+        overflows, and whether it left --out."""
         src = tmp_path / "huge.csv"
         x = 1e200 * np.cos(np.arange(512) * 0.3)
         src.write_text("sample_rate,64\n" + "".join(f"{v!r}\n" for v in x.tolist()))
         out = tmp_path / "out"
         with np.errstate(all="ignore"):
-            assert main(["analyze", str(src), "--activation", "abs",
-                         "--window", "128", "--hop", "8", "--fft-length", "512",
-                         "--out", str(out)]) == 4
-        assert not out.exists()
+            code = main(["analyze", str(src), "--activation", "abs", "--window", "128",
+                         "--hop", "8", "--fft-length", "512", *options, "--out", str(out)])
+        return code, out.exists()
+
+    def test_nan_report_leaves_no_output(self, tmp_path):
+        # the report's ratio would be NaN, which JSON cannot hold: exit 4
+        # before any file is written
+        assert self.analyze_overflowing(tmp_path) == (4, False)
+
+    @pytest.mark.parametrize("export", ["csv,pgm", "pgm", "csv"])
+    def test_overflowing_spectrum_leaves_no_output(self, tmp_path, capsys, export):
+        # without json exported nothing serialised the NaN ratio: this exited
+        # 0 and wrote all-nan spectrogram files
+        assert self.analyze_overflowing(tmp_path, "--export", export) == (4, False)
+        assert "overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("export,if_curve,sweeps", [
         ("csv,pgm,json", True, 2), ("pgm", False, 2), ("json", True, 1),

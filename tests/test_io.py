@@ -112,3 +112,90 @@ class TestFormatG17:
         rng = np.random.default_rng(n_cols)
         table = rng.standard_normal((2 * _CSV_CHUNK_VALUES // n_cols + 2, n_cols))
         assert written(table) == oracle(table)
+
+
+def per_value(values, seps):
+    return b"".join(b"%.17g%c" % (v, s) for v, s in zip(values.tolist(), seps.tolist()))
+
+
+class TestJoin:
+    """The join places each 32-byte row at its text's offset in one of K
+    zeroed buffers and ORs them: any K consecutive items must not overlap."""
+
+    @staticmethod
+    def placement(x, seps):
+        _, length, head = _g17._rows(x, seps)
+        at = np.concatenate([[0], np.cumsum(length)[:-1]]) + head
+        return at, _g17._buffer_count(at)
+
+    def test_chunk_of_zeros(self):
+        # every text is 2 bytes, so K is 16, its largest
+        x = np.zeros(_CSV_CHUNK_VALUES)
+        seps = np.full(x.size, ord(","), dtype=np.uint64)
+        assert self.placement(x, seps)[1] == 16
+        assert _g17.format_g17(x, seps).tobytes() == per_value(x, seps)
+        assert written(x.reshape(-1, 4)) == oracle(x.reshape(-1, 4))
+
+    @pytest.mark.parametrize("long", [
+        -1.2345678901234567e-100,     # certified, negative exponent form
+        -1.2345678901234567e-300,     # below the power table: '%.17g' %
+        -2.2250738585072014e-308,     # the smallest normal: '%.17g' %
+        -1.7976931348623157e+308])    # above the power table: '%.17g' %
+    def test_zeros_between_longest_texts(self, long):
+        x = np.zeros(_CSV_CHUNK_VALUES)
+        x[1::2] = long
+        x[2::6] = -0.0
+        seps = np.full(x.size, ord(","), dtype=np.uint64)
+        seps[5::7] = ord("\n")
+        assert len(b"%.17g," % long) == 25
+        assert _g17.format_g17(x, seps).tobytes() == per_value(x, seps)
+
+    @pytest.mark.parametrize("x,k", [
+        # the heads ("-0.000" has 6 bytes) move items apart or together:
+        # 4 texts of 8 bytes span 32, but item 0 starts 6 bytes into its text
+        ([-0.0001, 1234567.0, 1234567.0, 1234567.0, 1234567.0] * 8, 5),
+        # and 2 texts of 13 bytes reach the next item once it starts 6 in
+        ([123456789012.0, 123456789012.0, -0.0001], 2)])
+    def test_heads_set_the_buffer_count(self, x, k):
+        x = np.array(x)
+        seps = np.full(x.size, ord(","), dtype=np.uint64)
+        assert self.placement(x, seps)[1] == k
+        assert _g17.format_g17(x, seps).tobytes() == per_value(x, seps)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fewest_buffers_whose_items_never_overlap(self, seed):
+        # numpy does not promise an order for overlapping destinations, so
+        # the join must never give it any
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        x = rng.choice([0.0, -0.0, 1.0, -3.5, 0.001, -1e-5, 1e300, -5e-324,
+                        -1.2345678901234567e-100, 123456.78], n)
+        x = x * rng.choice([1.0, 1.0 + 2.0 ** -52], n)
+        seps = np.full(n, ord(","), dtype=np.uint64)
+        at, k = self.placement(x, seps)
+        assert 1 <= k <= 16
+        assert np.all(at[k:] - at[:-k] >= 32)
+        if k > 1:
+            assert np.any(at[k - 1:] - at[:1 - k] < 32)
+        assert _g17.format_g17(x, seps).tobytes() == per_value(x, seps)
+
+    def test_empty(self):
+        out = _g17.format_g17(np.empty(0), np.empty(0, dtype=np.uint64))
+        assert out.dtype == np.uint8 and out.size == 0
+        assert written(np.empty((0, 3))) == b""
+
+    def test_rows_are_zero_outside_their_text(self):
+        # the OR of the buffers relies on it, for rows of both kinds
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 309, 2000)
+        x[:8] = [0.0, -0.0, 1.0, -0.5, 1e16, 1e-5, 5e-324, -1.7976931348623157e308]
+        x[8:408] = rng.integers(-10 ** 6, 10 ** 6, 400) * 2.0 ** -20
+        seps = np.where(np.arange(x.size) % 3 == 2, ord("\n"), ord(",")).astype(np.uint64)
+        rows, length, head = _g17._rows(x, seps)
+        assert not np.all(certified(x)) and np.any(certified(x))
+        data = rows.view(np.uint8).reshape(-1, 32)
+        for row, n, h, v, s in zip(data, length.tolist(), head.tolist(),
+                                   x.tolist(), seps.tolist()):
+            start = 8 - h
+            assert row[start:start + n].tobytes() == b"%.17g%c" % (v, s)
+            assert not row[:start].any() and not row[start + n:].any()
