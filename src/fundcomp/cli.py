@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -38,14 +37,6 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict,
     with open(out_dir / "manifest.json", "w", encoding="ascii", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
-
-
-def _parse_activation(name: str, epsilon: float) -> ActivationSpec:
-    if name == "abs":
-        return ActivationSpec.abs()
-    if name == "relu":
-        return ActivationSpec.relu()
-    return ActivationSpec.adaptive(epsilon)
 
 
 def _parse_activation_list(text: str) -> tuple[ActivationSpec, ...]:
@@ -160,7 +151,8 @@ def cmd_analyze(args) -> int:
         print(f"fundcomp analyze: error: --fft-length {fft_length} is below "
               f"the window length {window}", file=sys.stderr)
         return EXIT_USAGE
-    spec = _parse_activation(args.activation, args.epsilon)
+    spec = (ActivationSpec.adaptive(args.epsilon) if args.activation == "heps"
+            else ActivationSpec(args.activation))
 
     activated = SampledSignal(activations.apply(spec, signal.samples), rate)
     spectrum = spectral.dft(activated)
@@ -289,8 +281,8 @@ def cmd_sumset(args) -> int:
     return EXIT_OK
 
 
-def build_parser(workers: str) -> argparse.ArgumentParser:
-    """The CLI's parser, with `workers` as synth-bench's --workers default."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser."""
     parser = argparse.ArgumentParser(
         prog="fundcomp",
         description="Fundamental component enhancement via nonlinear activations")
@@ -333,9 +325,7 @@ def build_parser(workers: str) -> argparse.ArgumentParser:
     p.add_argument("--activations", type=_parse_activation_list,
                    default=experiments.DEFAULT_ACTIVATIONS,
                    help="e.g. abs,relu,heps:0.2,heps:0.1,heps:0.05")
-    # a string default goes through `type`, so a bad FUNDCOMP_WORKERS is a
-    # usage error of synth-bench alone
-    p.add_argument("--workers", type=_parse_positive_int, default=workers)
+    p.add_argument("--workers", type=_parse_positive_int, default=1)
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("sumset", help="sumset support and gcd stabilization")
@@ -348,17 +338,16 @@ def build_parser(workers: str) -> argparse.ArgumentParser:
     return parser
 
 
-# built once per FUNDCOMP_WORKERS value: building the parser takes about
-# 1 ms, parsing with it 0.06 ms.  main looks the command function up on every
-# call, so one replaced after the parser was built (by a tracing wrapper, say)
-# is the one that runs.
-_parser = functools.lru_cache(maxsize=4)(build_parser)
+# built once per process: building the parser takes about 1 ms, parsing with
+# it 0.06 ms.  main looks the command function up on every call, so one
+# replaced after the parser was built (by a tracing wrapper, say) is the one
+# that runs.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = _parser(os.environ.get("FUNDCOMP_WORKERS", "1"))
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     command = {"analyze": cmd_analyze, "verify-theorem": cmd_verify_theorem,

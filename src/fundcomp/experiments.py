@@ -24,7 +24,6 @@ import numpy as np
 from . import activations, spectral
 from .activations import ActivationSpec
 from .errors import RejectionOverflow
-from .signal_model import TrigPolynomial
 
 RNG_ID = "numpy-pcg64/seedseq((master_seed, trial_index))"
 # The paper's experiment: one GRID-sample period per trial, K_MIN..K_MAX
@@ -171,22 +170,6 @@ def _draw_trials(rngs, pool: np.ndarray, probs: np.ndarray, k_min: int,
     phases = 2.0 * math.pi * (1.0 - u[1])      # (0, 2 pi]
     freqs = found[np.arange(k_max) < ks[:, None]]
     return np.repeat(np.arange(n), ks), freqs, amps * np.exp(1j * phases)
-
-
-def generate_synthetic(rng: np.random.Generator) -> TrigPolynomial:
-    """One random 1-periodic cosine polynomial with gcd-1 frequency support.
-
-    K ~ Uniform{K_MIN..K_MAX}; frequencies drawn without replacement from
-    [FREQ_MIN, FREQ_MAX] with weights proportional to exp(-x^2 / (2 sigma^2)),
-    sigma = DENSITY_SCALE (see `frequency_weights`), and rejection-resampled
-    until their gcd is 1; amplitudes in (0, 1], phases in (0, 2 pi].  The
-    draw is `block_ratios`'s, for a block of one trial.
-    """
-    pool, probs = frequency_weights(FREQ_MIN, FREQ_MAX, DENSITY_SCALE)
-    _, freqs, coeffs = _draw_trials([rng], pool, probs, K_MIN, K_MAX)
-    order = np.argsort(freqs)
-    terms = tuple((int(freqs[i]), coeffs[i]) for i in order)
-    return TrigPolynomial(terms, period=1.0, real_cosine_form=True)
 
 
 def block_ratios(config: SynthConfig, indices) -> np.ndarray:

@@ -23,6 +23,25 @@ def _finite_positive(x: float) -> bool:
     return math.isfinite(x) and x > 0
 
 
+def _float_lines(path, lines, start: int, noun: str) -> list[float]:
+    """The value on each non-blank line of `lines`, the first numbered
+    `start`; a malformed or non-finite value is an input error at its line."""
+    values = []
+    for lineno, line in enumerate(lines, start=start):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise InputFormatError(
+                f"{path}:{lineno}: malformed {noun} {text!r}") from None
+        if not math.isfinite(value):
+            raise InputFormatError(f"{path}:{lineno}: non-finite {noun} {text!r}")
+        values.append(value)
+    return values
+
+
 def read_signal_csv(path) -> SampledSignal:
     """CSV signal: first line 'sample_rate,<value>', then one sample per line."""
     with open(path, "r", encoding="ascii") as fh:
@@ -39,18 +58,7 @@ def read_signal_csv(path) -> SampledSignal:
         rate = math.nan
     if not _finite_positive(rate):
         raise InputFormatError(f"{path}:1: bad sample rate {head[1]!r}")
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            value = float(line)
-        except ValueError:
-            raise InputFormatError(
-                f"{path}:{lineno}: malformed sample {line!r}") from None
-        if not math.isfinite(value):
-            raise InputFormatError(f"{path}:{lineno}: non-finite sample {line!r}")
-        samples.append(value)
+    samples = _float_lines(path, lines[1:], 2, "sample")
     if len(samples) < 2:
         raise InputFormatError(f"{path}: need at least 2 samples")
     return SampledSignal(np.array(samples), rate)
@@ -127,20 +135,8 @@ def read_signal(path) -> SampledSignal:
 
 def read_if_curve_csv(path) -> np.ndarray:
     """One instantaneous-frequency value (Hz) per line, one per STFT frame."""
-    values = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}:{lineno}: malformed frequency {line.strip()!r}") from None
-            if not math.isfinite(value):
-                raise InputFormatError(
-                    f"{path}:{lineno}: non-finite frequency {line.strip()!r}")
-            values.append(value)
+        values = _float_lines(path, fh, 1, "frequency")
     if not values:
         raise InputFormatError(f"{path}: empty IF curve")
     return np.array(values)

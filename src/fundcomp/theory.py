@@ -201,24 +201,24 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-class _RowMemo:
-    """min(|f(t)|/||f||, 1) and e^{i omega b t} at the abscissae t, computed
-    once per distinct row of Gauss-Kronrod abscissae.
+class _Integrals:
+    """Integrals of h_eps(|f(t)|/||f||) e^{i omega b t} over one period of
+    `poly`, omega = 2 pi / period, at any epsilon and bin b.
 
-    Rows are looked up by their bytes, so a hit returns exactly the values
-    that evaluating the row again would give.  The uniform panels, and so
-    most rows, are the same on every rung of an epsilon ladder.
+    The PeakSet is found once, and min(|f|/||f||, 1) is computed once per
+    distinct row of Gauss-Kronrod abscissae and looked up by the row's bytes,
+    so a hit returns exactly the values that evaluating the row again would
+    give.  The uniform panels, and so most rows, are the same on every rung
+    of an epsilon ladder and at every bin.
     """
 
-    def __init__(self, poly: TrigPolynomial, norm: float, target_bin: int):
-        if target_bin < 1:
-            raise ValueError("target_bin must be a positive integer")
-        self._poly, self._norm, self.target_bin = poly, norm, target_bin
+    def __init__(self, poly: TrigPolynomial):
+        self.poly = poly
+        self.peaks = find_global_maxima(poly)
         self._slot: dict[bytes, int] = {}
         self._mod = np.empty((0, _GK_NODES.size))
-        self._phase = np.empty((0, _GK_NODES.size), dtype=np.complex128)
 
-    def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _modulus(self, t: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(t, dtype=np.float64).reshape(-1, _GK_NODES.size)
         keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel().tolist()
         slots = [self._slot.get(k, -1) for k in keys]
@@ -227,33 +227,26 @@ class _RowMemo:
             for i in new:
                 slots[i] = self._slot.setdefault(keys[i], len(self._slot))
             self._mod = _grown(self._mod, len(self._slot))
-            self._phase = _grown(self._phase, len(self._slot))
-            fresh = [slots[i] for i in new]
-            x = rows[new]
-            self._mod[fresh] = np.minimum(np.abs(evaluate(self._poly, x)) / self._norm, 1.0)
-            self._phase[fresh] = np.exp(
-                1j * (TWO_PI / self._poly.period) * self.target_bin * x)
-        return (self._mod[slots].reshape(np.shape(t)),
-                self._phase[slots].reshape(np.shape(t)))
+            self._mod[[slots[i] for i in new]] = np.minimum(
+                np.abs(evaluate(self.poly, rows[new])) / self.peaks.sup_norm, 1.0)
+        return self._mod[slots].reshape(np.shape(t))
 
+    def __call__(self, epsilon: float, target_bin: int) -> complex:
+        if not EPSILON_FLOOR <= epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in [{EPSILON_FLOOR:g}, 1], "
+                             "1 only as a smoke test")
+        if target_bin < 1:
+            raise ValueError("target_bin must be a positive integer")
+        period = self.poly.period
+        omega = TWO_PI / period
 
-def _fundamental_integral(poly: TrigPolynomial, peaks: PeakSet, epsilon: float,
-                          memo: _RowMemo) -> complex:
-    """numeric_fundamental_integral with the PeakSet of `poly` supplied and
-    |f| and the phase at memo's target bin looked up in `memo`."""
-    if not EPSILON_FLOOR <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [{EPSILON_FLOOR:g}, 1], "
-                         "1 only as a smoke test")
-    period = poly.period
+        def integrand(t):
+            return (_h_eps_kernel(self._modulus(t), epsilon)
+                    * np.exp(1j * omega * target_bin * t))
 
-    def integrand(t):
-        mod, phase = memo(t)
-        return _h_eps_kernel(mod, epsilon) * phase
-
-    base = _peak_aware_edges(peaks, epsilon, period, poly.max_frequency)
-    edges = np.concatenate([base, [base[0] + period]])
-    abs_tol = 1e-6 * epsilon ** -0.5
-    return adaptive_quadrature(integrand, edges, abs_tol)
+        base = _peak_aware_edges(self.peaks, epsilon, period, self.poly.max_frequency)
+        edges = np.concatenate([base, [base[0] + period]])
+        return adaptive_quadrature(integrand, edges, 1e-6 * epsilon ** -0.5)
 
 
 def numeric_fundamental_integral(poly: TrigPolynomial, epsilon: float,
@@ -262,17 +255,13 @@ def numeric_fundamental_integral(poly: TrigPolynomial, epsilon: float,
 
     epsilon = 1 is admitted as an exactness smoke test (h_1 is identically 1).
     """
-    peaks = find_global_maxima(poly)
-    return _fundamental_integral(poly, peaks, epsilon,
-                                 _RowMemo(poly, peaks.sup_norm, target_bin))
+    return _Integrals(poly)(epsilon, target_bin)
 
 
 def _peak_terms(peaks: PeakSet) -> np.ndarray:
     """e^{i omega t_j} / sqrt(-g''(t_j) / (2 ||g||)) for every peak j."""
     loc = np.array([p.location for p in peaks.peaks])
     g2 = np.array([p.second_derivative for p in peaks.peaks])
-    if np.any(g2 >= 0):
-        raise ValueError("prediction requires strictly negative g''")
     omega = TWO_PI / peaks.period
     return np.exp(1j * omega * loc) / np.sqrt(-g2 / (2.0 * peaks.sup_norm))
 
@@ -312,12 +301,12 @@ def scaling_verification(poly: TrigPolynomial, epsilons) -> ScalingResult:
     ladder, and |f| once per distinct Gauss-Kronrod panel across all rungs.
     """
     eps = epsilon_ladder(epsilons)
-    peaks = find_global_maxima(poly)
+    integrals = _Integrals(poly)
+    peaks = integrals.peaks
     cancels = _cancellation_ratio(peaks) < 1e-6
-    memo = _RowMemo(poly, peaks.sup_norm, 1)
     reports = []
     for e in eps:
-        numeric = _fundamental_integral(poly, peaks, e, memo)
+        numeric = integrals(e, 1)
         pred = complex(0) if cancels else asymptotic_prediction(peaks, e)
         reports.append(AsymptoticReport(
             epsilon=e, numeric_integral=numeric, prediction=pred))
@@ -342,10 +331,8 @@ def gcd_reduction_check(poly: TrigPolynomial, epsilon: float) -> tuple[complex, 
     g = poly.frequency_gcd()
     if g <= 1:
         raise ValueError("frequency gcd must exceed 1 for the reduction check")
-    peaks = find_global_maxima(poly)
-    return tuple(_fundamental_integral(poly, peaks, epsilon,
-                                       _RowMemo(poly, peaks.sup_norm, b))
-                 for b in (1, g))
+    integrals = _Integrals(poly)
+    return integrals(epsilon, 1), integrals(epsilon, g)
 
 
 def _clipped_supports(M: FrequencySet, range_limit: int):

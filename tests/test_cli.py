@@ -33,6 +33,12 @@ def write_tone_wav(path, freq=2, rate=64, duration=8.0):
         wf.writeframes(x.tobytes())
 
 
+# the readers of files with one float per line: (reader, text before the
+# values, number of the first value line, the value's noun)
+FLOAT_LINE_READERS = [(fio.read_signal_csv, "sample_rate,64\n", 2, "sample"),
+                      (fio.read_if_curve_csv, "", 1, "frequency")]
+
+
 class TestSignalIO:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "sig.csv"
@@ -49,10 +55,13 @@ class TestSignalIO:
             fio.read_signal_csv(path)
 
     def test_csv_bad_row_reports_line(self, tmp_path):
+        # the blank line counts, and the line is printed stripped
         path = tmp_path / "bad.csv"
-        path.write_text("sample_rate,64\n1.0\nnope\n")
-        with pytest.raises(InputFormatError, match=":3"):
-            fio.read_signal_csv(path)
+        for read, head, first, noun in FLOAT_LINE_READERS:
+            path.write_text(head + "1.0\n\n nope \n1.0\n")
+            with pytest.raises(InputFormatError,
+                               match=f":{first + 2}: malformed {noun} 'nope'$"):
+                read(path)
 
     def test_wav_16bit(self, tmp_path):
         path = tmp_path / "tone.wav"
@@ -124,9 +133,11 @@ class TestSignalIO:
 
     def test_if_curve_non_finite_reports_line(self, tmp_path):
         path = tmp_path / "if.csv"
-        path.write_text("1.0\ninf\n1.0\n")
-        with pytest.raises(InputFormatError, match=":2"):
-            fio.read_if_curve_csv(path)
+        for read, head, first, noun in FLOAT_LINE_READERS:
+            path.write_text(head + "1.0\n\ninf\n1.0\n")
+            with pytest.raises(InputFormatError,
+                               match=f":{first + 2}: non-finite {noun} 'inf'$"):
+                read(path)
 
     def test_poly_spec_bad_json(self, tmp_path):
         path = tmp_path / "p.json"
@@ -575,21 +586,6 @@ class TestUsage:
         assert main(["synth-bench", "--trials", "2", "--workers", "1",
                      "--seed", seed, "--out", str(out)]) == 2
         assert not out.exists()
-
-    def test_bad_workers_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FUNDCOMP_WORKERS", "abc")
-        out = tmp_path / "out"
-        assert main(["synth-bench", "--trials", "1", "--out", str(out)]) == 2
-        assert not out.exists()
-        # only synth-bench reads it
-        assert main(["sumset", "--freqs", "2,3"]) == 0
-
-    def test_workers_environment_read_on_every_call(self, tmp_path, monkeypatch):
-        for i, (workers, code) in enumerate([("abc", 2), ("1", 0), ("abc", 2)]):
-            monkeypatch.setenv("FUNDCOMP_WORKERS", workers)
-            out = tmp_path / f"out{i}"
-            assert main(["synth-bench", "--trials", "1", "--out", str(out)]) == code
-            assert out.exists() == (code == 0)
 
     def test_command_looked_up_on_every_call(self, monkeypatch):
         """A cmd_* replaced after the parser was built is the one that runs."""

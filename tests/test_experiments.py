@@ -23,7 +23,6 @@ from fundcomp.experiments import (
     block_ratios,
     child_rng,
     frequency_weights,
-    generate_synthetic,
     run_trials,
     write_histogram_csv,
 )
@@ -45,6 +44,22 @@ def _draw_trial(rng, pool, probs, k_min, k_max):
     amps = 1.0 - rng.random(k)            # (0, 1]
     phases = 2.0 * math.pi * (1.0 - rng.random(k))  # (0, 2 pi]
     return freqs, amps * np.exp(1j * phases), sets
+
+
+def generate_synthetic(rng):
+    """The reference draw: one random 1-periodic cosine polynomial with
+    gcd-1 frequency support, by `_draw_trials` for a block of one trial.
+
+    K ~ Uniform{K_MIN..K_MAX}; frequencies drawn without replacement from
+    [FREQ_MIN, FREQ_MAX] with weights proportional to exp(-x^2 / (2 sigma^2)),
+    sigma = DENSITY_SCALE (see `frequency_weights`), and rejection-resampled
+    until their gcd is 1; amplitudes in (0, 1], phases in (0, 2 pi].
+    """
+    pool, probs = frequency_weights(FREQ_MIN, FREQ_MAX, DENSITY_SCALE)
+    _, freqs, coeffs = _draw_trials([rng], pool, probs, K_MIN, K_MAX)
+    order = np.argsort(freqs)
+    terms = tuple((int(freqs[i]), coeffs[i]) for i in order)
+    return TrigPolynomial(terms, period=1.0, real_cosine_form=True)
 
 
 class CountingRng:

@@ -13,6 +13,8 @@
   its own function, by keyword or by position, matched by name; `cls(...)`
   in a classmethod calls its class.  A value nothing sets is a constant.
   PARAMETER_ENTRY_POINTS lists the exceptions.
+- No module reads the environment: settings come from the command line or
+  from a call's arguments.
 """
 
 import ast
@@ -25,10 +27,8 @@ MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
 
 # Public names that no package code calls, kept as entry points.
 ENTRY_POINTS = {
-    # the acceptance criteria: the reference draw, the sampled pipeline of
-    # the fourier-plumbing check and the theory checks they are stated
-    # against
-    ("experiments", "generate_synthetic"),
+    # the acceptance criteria: the sampled pipeline of the fourier-plumbing
+    # check and the theory checks they are stated against
     ("signal_model", "sample"),
     ("theory", "numeric_fundamental_integral"),
     ("theory", "gcd_reduction_check"),
@@ -110,6 +110,19 @@ def test_no_unused_module_imports():
         unused += [f"{module}: {name}" for name, _ in _imported_names(tree)
                    if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_no_module_reads_the_environment():
+    reads = []
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in (
+                    "os.environ", "os.getenv"):
+                reads.append(f"{module}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{module}: os.{a.name}" for a in node.names
+                          if a.name in ("environ", "getenv")]
+    assert not reads, f"read the environment: {reads}"
 
 
 def test_every_public_definition_has_a_caller():

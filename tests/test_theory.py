@@ -219,12 +219,12 @@ class TestLadderMemo:
     def test_memo_gone_after_the_call(self, monkeypatch):
         memos = []
 
-        class Recorded(theory._RowMemo):
+        class Recorded(theory._Integrals):
             def __init__(self, *args):
                 super().__init__(*args)
                 memos.append(weakref.ref(self))
 
-        monkeypatch.setattr(theory, "_RowMemo", Recorded)
+        monkeypatch.setattr(theory, "_Integrals", Recorded)
         rows = self.record_rows(monkeypatch)
         before = dict(vars(theory))
         scaling_verification(EIGHT_TERMS, LADDER)
@@ -336,6 +336,12 @@ class TestGcdReduction:
         b1, b3 = gcd_reduction_check(GCD3, 1e-4)
         assert same_bits(b1, fundamental_integral_fresh(GCD3, 1e-4, 1))
         assert same_bits(b3, fundamental_integral_fresh(GCD3, 1e-4, 3))
+
+    def test_each_row_evaluated_once(self, monkeypatch):
+        # both bins share one table of |f|: its rows are evaluated once
+        rows = TestLadderMemo.record_rows(monkeypatch)
+        gcd_reduction_check(GCD3, 1e-4)
+        assert len(rows) == len(set(rows)) == 181
 
     def test_gcd_one_rejected(self):
         with pytest.raises(ValueError):
