@@ -607,3 +607,15 @@ def test_cli_import_leaves_process_pool_out():
          "('concurrent', 'multiprocessing', 'hashlib'))))"],
         capture_output=True, text=True, check=True, timeout=60)
     assert probe.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_position_table():
+    """The synth replay's table of stream positions is built by the first
+    draw, not at import, so commands that draw nothing never pay for it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {str(src)!r}); import fundcomp.cli; "
+         "from fundcomp import _pcg64; print(_pcg64._table is None)"],
+        capture_output=True, text=True, check=True, timeout=60)
+    assert probe.stdout.strip() == "True"
